@@ -26,6 +26,7 @@ from .step import HessianModel, TrustRegion, cauchy_step, compute_radius, linear
 from .solver import (
     CostLedger,
     IterationRecord,
+    NonFiniteGradientError,
     SolveResult,
     SolverConfig,
     Trace,

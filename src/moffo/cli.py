@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -224,15 +223,6 @@ def adagrad_oracle_baseline(grad, x0, steps, eps, varsigma=0.01, eval_fraction=1
         x = x - g / np.sqrt(varsigma + acc)
 
 
-def _single_level_problem(problem):
-    top = problem.hierarchy.level(problem.hierarchy.r)
-    from .hierarchy import LevelHierarchy
-    hier = LevelHierarchy([top], [])
-    return problems.ProblemHierarchy(problem.name + "-single", hier, problem.x0,
-                                     problem.exact_L, problem.f_low,
-                                     problem.dataset_size, problem.noise)
-
-
 def _one_run(spec, seed, out_dir):
     problem = _build_problem_instance(spec, seed)
     cfg = SolverConfig(seed=seed, **spec["solver_kwargs"])
@@ -269,7 +259,7 @@ def _one_run(spec, seed, out_dir):
             kwargs.pop("i_max", None)
             single_cfg = SolverConfig(seed=seed, **kwargs)
             single_cfg.i_max_top = steps
-            sres = solve(_single_level_problem(bp), single_cfg)
+            sres = solve(bp.single_level(), single_cfg)
             gn, cost, iters = sres.final_grad_norm, sres.ledger.total(), sres.iterations
         baseline_entries[kind] = {
             "seed": seed,
@@ -290,13 +280,8 @@ def cmd_run(config_path, out_dir=None, seed=None):
     out = out_dir or spec["out_dir"]
     os.makedirs(out, exist_ok=True)
     seeds = [int(seed)] if seed is not None else spec["seeds"]
-    workers = max(1, int(os.environ.get("MOFFO_THREADS", "1")))
     try:
-        if workers > 1 and len(seeds) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda s: _one_run(spec, s, out), seeds))
-        else:
-            results = [_one_run(spec, s, out) for s in seeds]
+        results = [_one_run(spec, s, out) for s in seeds]
     except Exception as exc:  # noqa: BLE001 - harness boundary
         print("runtime failure: %s" % exc, file=sys.stderr)
         return EXIT_RUNTIME

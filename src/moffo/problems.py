@@ -79,6 +79,20 @@ class ProblemHierarchy:
         fn = root.hierarchy.level(level).value
         return None if fn is None else float(fn(np.asarray(x, dtype=float)))
 
+    def single_level(self):
+        """The top level alone as a one-level problem: the single-level baseline.
+
+        Noise wrappers carry over, because the top Level (and its sampling
+        stream) is shared; sampled_grads and base are cut down to the top
+        level likewise, so exact_grad(1, x) and with_minibatch still see it.
+        """
+        top = self.hierarchy.level(self.r)
+        sampled = None if self.sampled_grads is None else self.sampled_grads[-1:]
+        base = None if self.base is None else self.base.single_level()
+        return ProblemHierarchy(self.name + "-single", LevelHierarchy([top], []), self.x0,
+                                self.exact_L, self.f_low, self.dataset_size, self.noise,
+                                sampled, self.dataset, base=base)
+
     def strip_values(self):
         """Clone with all value oracles removed (control flow must not notice)."""
         levels = [Level(l.n, l.grad, None, l.eval_fraction) for l in self.hierarchy.levels]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hierarchy import LevelHierarchy, coherence_defect, coherence_defect_ok, build_coherent_model
-from .step import HessianModel, compute_radius, taylor_step, taylor_decrease_bound
+from .step import HessianModel, compute_radius, taylor_step, vector_norm
 from .weights import (
     ADAGRAD_LIKE,
     MAXGI,
@@ -28,6 +28,7 @@ from .weights import (
 )
 
 __all__ = [
+    "NonFiniteGradientError",
     "SolverConfig",
     "CostLedger",
     "IterationRecord",
@@ -40,6 +41,17 @@ __all__ = [
 ]
 
 _ASSERT_RTOL = 1e-9
+
+
+class NonFiniteGradientError(ValueError):
+    """A gradient oracle returned NaN or infinite components (or components
+    whose squared norm overflows)."""
+
+    def __init__(self, level, iteration, gnorm):
+        super().__init__("non-finite gradient at level %d, iteration %d (norm %r)"
+                         % (level, iteration, gnorm))
+        self.level = level
+        self.iteration = iteration
 
 
 @dataclass
@@ -67,7 +79,6 @@ class SolverConfig:
     record_iterates: bool = False
     debug_checks: bool = True
     seed: int = 0
-    hessian_factory: object = None   # callable(level, x, g) -> HessianModel
 
     def validate(self, r):
         if self.weight_kind not in (ADAGRAD_LIKE, MAXGI):
@@ -128,6 +139,7 @@ class CostLedger:
     def __init__(self, r):
         self.r = int(r)
         self.counts = np.zeros(self.r)
+        self._weights = 2.0 ** (np.arange(1, self.r + 1) - self.r)
 
     def add(self, level, fraction):
         if fraction < 0:
@@ -138,8 +150,7 @@ class CostLedger:
         return float(self.counts[level - 1])
 
     def total(self):
-        weights = 2.0 ** (np.arange(1, self.r + 1) - self.r)
-        return float(weights @ self.counts)
+        return float(self._weights @ self.counts)
 
 
 @dataclass(slots=True)
@@ -214,8 +225,8 @@ def should_recurse(Rg, w_low, g, w, kappa_R):
     a kappa_R fraction of the current level's."""
     Rg = np.asarray(Rg, dtype=float)
     g = np.asarray(g, dtype=float)
-    lhs = float(np.sum(Rg * Rg / np.asarray(w_low, dtype=float)))
-    rhs = kappa_R * float(np.sum(g * g / np.asarray(w, dtype=float)))
+    lhs = float((Rg * Rg / np.asarray(w_low, dtype=float)).sum())
+    rhs = kappa_R * float((g * g / np.asarray(w, dtype=float)).sum())
     return lhs >= rhs
 
 
@@ -276,6 +287,7 @@ class _Runtime:
         for l in range(1, hier.r + 1):
             self._floors[l] = as_floor_vector(cfg.varsigma, hier.dim(l))
         self.varsigma_min = min(float(f.min()) for f in self._floors.values())
+        self.B = HessianModel.zero(cfg.kappa_B)
         self.best_gnorm = math.inf
         self.best_x = None
 
@@ -294,12 +306,16 @@ def _eval_gradient(rt, level, objective, x, i):
 
     Iteration 0 of a coherent lower-level model reuses the anchor evaluation
     performed while building the model, which was charged at build time.
+    The result is contiguous, which vector_norm relies on.
     """
     if i == 0 and objective.anchor_model_grad is not None:
         return objective.anchor_model_grad
-    g = objective.grad(x)
+    g = np.ascontiguousarray(objective.grad(x), dtype=float)
+    if g.shape != x.shape:
+        raise ValueError("level %d gradient has shape %s, expected %s"
+                         % (level, g.shape, x.shape))
     rt.ledger.add(level, rt.hier.level(level).eval_fraction)
-    return np.asarray(g, dtype=float)
+    return g
 
 
 def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_threshold=None):
@@ -315,11 +331,13 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
     i = 0
     while True:
         # Step 1: budget guard, then gradient evaluation and termination tests.
-        if level < r and float(np.linalg.norm(op_up.prolong(x - x0))) > delta_cap:
+        if level < r and vector_norm(op_up.prolong(x - x0)) > delta_cap:
             assert x_prev is not None, "movement budget violated at entry"
             return x_prev, i - 1
         g = _eval_gradient(rt, level, objective, x, i)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = vector_norm(g)
+        if not math.isfinite(gnorm):
+            raise NonFiniteGradientError(level, i, gnorm)
         f_diag = objective.value(x) if cfg.diag_values else None
         if level == r:
             if cfg.record_iterates:
@@ -334,7 +352,7 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
 
         # Step 2: weights from the just-evaluated gradient, then the radius.
         w = wstate.update(g)
-        decrease = float(np.sum(g * g / w))
+        decrease = float((g * g / w).sum())
         if monitor_threshold is not None and decrease < monitor_threshold:
             rt.trace.add(IterationRecord(level, i, "taylor", gnorm, 0.0, 0.0, 0.0,
                                          float(w.min()), float(w.max()),
@@ -354,11 +372,7 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
 
         # Step 4: Taylor step.
         if s is None:
-            if cfg.hessian_factory is not None:
-                B = cfg.hessian_factory(level, x, g)
-            else:
-                B = HessianModel.zero(cfg.kappa_B)
-            s = taylor_step(g, tr.delta, B, cfg.tau)
+            s = taylor_step(g, tr.delta, rt.B, cfg.tau)
             if cfg.debug_checks and decrease > 0.0:
                 # Cap-aware form of the linear-decrease guarantee: the plain
                 # bound is provable only for an uncapped unit-scale radius,
@@ -370,13 +384,13 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
                 assert lhs <= bound + _ASSERT_RTOL * (1.0 + abs(bound)), \
                     "linear decrease bound violated at a Taylor iteration"
 
-        step_norm = float(np.linalg.norm(s))
+        step_norm = vector_norm(s)
         if cfg.debug_checks:
             assert step_norm <= cfg.alpha * tr.delta_hat_norm * (1.0 + _ASSERT_RTOL) + 1e-300, \
                 "step norm exceeds alpha * ||D(w)|g||"
             if level < r:
                 cap_mult = 2.0 if kind == "taylor" else 2.0 * cfg.alpha
-                assert float(np.linalg.norm(op_up.prolong(s))) <= \
+                assert vector_norm(op_up.prolong(s)) <= \
                     cap_mult * delta_cap * (1.0 + _ASSERT_RTOL), "prolonged step exceeds budget"
 
         # Step 5: update.
@@ -397,7 +411,7 @@ def _try_recursive(rt, level, op_down, x, g, w, tr, decrease):
     floors_low = rt.floors(level - 1)
     if cfg.weight_kind == ADAGRAD_LIKE:
         w_low = init_lower_adagrad(floors_low, op_down.norm, Rg, cfg.alpha,
-                                   delta_norm, float(np.linalg.norm(w)))
+                                   delta_norm, vector_norm(w))
     else:
         w_low = init_lower_divergent(floors_low, op_down.norm, Rg, cfg.alpha,
                                      delta_norm, float(w.min()))
@@ -413,7 +427,7 @@ def _try_recursive(rt, level, op_down, x, g, w, tr, decrease):
     x_low0 = op_down.restrict(x)
     model = build_coherent_model(lower.grad, x_low0, g, op_down, lower_value=lower.value)
     rt.ledger.add(level - 1, lower.eval_fraction)  # anchor evaluation inside the build
-    eps_low = cfg.lower_eps_factor * float(np.linalg.norm(Rg))
+    eps_low = cfg.lower_eps_factor * vector_norm(Rg)
     state = seed_lower_state(cfg.weight_kind, cfg.mu, cfg.nu_resolved(), floors_low,
                              w_low, model.anchor_model_grad)
     threshold = cfg.kappa_R * decrease if cfg.strict_descent_monitoring else None
@@ -422,7 +436,7 @@ def _try_recursive(rt, level, op_down, x, g, w, tr, decrease):
     if cfg.debug_checks:
         if cfg.lower_eps_factor < 1.0:
             assert completed >= 1, "no iteration completed at the lower level"
-        lhs = float(np.linalg.norm(np.abs(Rg) / w_low))
+        lhs = vector_norm(np.abs(Rg) / w_low)
         assert lhs <= cfg.alpha * delta_norm / op_down.norm * (1.0 + _ASSERT_RTOL), \
             "lower radius budget condition violated"
     return op_down.prolong(x_low - x_low0)

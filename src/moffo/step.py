@@ -9,6 +9,7 @@ bounded Hessian model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,26 +22,31 @@ __all__ = [
     "cauchy_step",
     "taylor_step",
     "taylor_decrease_bound",
+    "vector_norm",
 ]
 
 _SLACK = 1e-12
 
 
+def vector_norm(v):
+    """Euclidean norm of a contiguous 1-D float array.
+
+    Bit-equal to float(np.linalg.norm(v)), which for such an array is the
+    square root of v.dot(v), without the wrapper's dispatch cost.
+    """
+    return math.sqrt(v.dot(v))
+
+
 @dataclass
 class TrustRegion:
-    """Componentwise radius delta, its uncapped version delta_hat, level cap."""
+    """Componentwise radius delta, its uncapped version delta_hat, level cap,
+    and the Euclidean norms of both radii."""
 
     delta_hat: np.ndarray
     delta: np.ndarray
     cap: float
-
-    @property
-    def delta_norm(self):
-        return float(np.linalg.norm(self.delta))
-
-    @property
-    def delta_hat_norm(self):
-        return float(np.linalg.norm(self.delta_hat))
+    delta_hat_norm: float
+    delta_norm: float
 
 
 class HessianModel:
@@ -113,16 +119,20 @@ def compute_radius(w, g, is_top, delta, P_up_norm, scale=1.0):
     """
     w = np.asarray(w, dtype=float)
     g = np.asarray(g, dtype=float)
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         raise ValueError("weights must be strictly positive")
     delta_hat = scale * np.abs(g) / w
+    nd = vector_norm(delta_hat)
     if is_top:
-        return TrustRegion(delta_hat, delta_hat.copy(), np.inf)
+        return TrustRegion(delta_hat, delta_hat, np.inf, nd, nd)
     if not delta > 0.0:
         raise ValueError("lower-level budget delta must be positive")
-    nd = float(np.linalg.norm(delta_hat))
     factor = min(2.0 * delta / (P_up_norm * nd), 1.0) if nd > 0.0 else 1.0
-    return TrustRegion(delta_hat, factor * delta_hat, float(delta))
+    if factor == 1.0:
+        # 1.0 * delta_hat is exact, so the uncapped radius and its norm serve.
+        return TrustRegion(delta_hat, delta_hat, float(delta), nd, nd)
+    capped = factor * delta_hat
+    return TrustRegion(delta_hat, capped, float(delta), nd, vector_norm(capped))
 
 
 def linear_step(g, delta):
@@ -145,26 +155,32 @@ def taylor_step(g, delta, B, tau, refine=False):
     """Step inside the box achieving at least a tau fraction of the Cauchy decrease.
 
     The default step is the Cauchy point itself, which meets the decrease
-    condition with equality for any tau <= 1.  With refine=True a single
-    projected diagonal-Newton sweep is tried and kept only if it still meets
-    the condition.  Violations of the box or decrease conditions indicate an
-    internal bug and trip an assertion.
+    condition with equality for any tau <= 1.  With the zero model the
+    Cauchy factor is exactly 1 and the quadratic term exactly 0, so the step
+    is the linear step and its model value is g^T s.  With refine=True and a
+    nonzero model a single projected diagonal-Newton sweep is tried and kept
+    only if it still meets the condition.  Violations of the box or decrease
+    conditions indicate an internal bug and trip an assertion.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
     g = np.asarray(g, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    sQ = cauchy_step(g, delta, B)
-    mQ = B.model(g, sQ)
-    s = sQ
-    if refine and B.kind != "zero":
-        d = B.data if B.kind == "diagonal" else np.diag(B.data)
-        cand = np.where(d > 0.0, -g / np.where(d > 0.0, d, 1.0), sQ)
-        cand = np.clip(cand, -delta, delta)
-        if B.model(g, cand) <= tau * mQ:
-            s = cand
-    assert np.all(np.abs(s) <= delta * (1.0 + _SLACK) + _SLACK), "step left the trust region"
-    assert B.model(g, s) <= tau * mQ + _SLACK * (1.0 + abs(mQ)), "decrease condition violated"
+    if B.kind == "zero":
+        s = linear_step(g, delta)
+        mQ = m = float(g @ s)
+    else:
+        s = cauchy_step(g, delta, B)
+        mQ = m = B.model(g, s)
+        if refine:
+            d = B.data if B.kind == "diagonal" else np.diag(B.data)
+            cand = np.where(d > 0.0, -g / np.where(d > 0.0, d, 1.0), s)
+            cand = np.clip(cand, -delta, delta)
+            m_cand = B.model(g, cand)
+            if m_cand <= tau * mQ:
+                s, m = cand, m_cand
+    assert (np.abs(s) <= delta * (1.0 + _SLACK) + _SLACK).all(), "step left the trust region"
+    assert m <= tau * mQ + _SLACK * (1.0 + abs(mQ)), "decrease condition violated"
     return s
 
 

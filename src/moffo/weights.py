@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .step import vector_norm
+
 __all__ = [
     "ADAGRAD_LIKE",
     "MAXGI",
@@ -36,7 +38,7 @@ def as_floor_vector(varsigma, dim):
         v = np.full(dim, float(v))
     if v.shape != (dim,):
         raise ValueError("floor vector has shape %s, expected (%d,)" % (v.shape, dim))
-    if np.any(v <= 0.0) or np.any(v > 1.0):
+    if (v <= 0.0).any() or (v > 1.0).any():
         raise ValueError("floors must lie in (0, 1]")
     return v
 
@@ -69,8 +71,11 @@ class WeightState:
         # accumulator: sum of squares (adagrad_like) or running max (maxgi)
         self.acc = np.zeros(dim)
         self.c = np.zeros(dim) if base_offset is None else np.asarray(base_offset, dtype=float)
-        if np.any(self.c < 0.0):
+        if (self.c < 0.0).any():
             raise ValueError("base offsets must be nonnegative")
+        # varsigma + c + acc evaluates left to right, so the constant part
+        # can be summed once.
+        self._shift = self.varsigma + self.c
         self.prescribed_floor = (
             None if prescribed_floor is None else np.asarray(prescribed_floor, dtype=float)
         )
@@ -83,7 +88,7 @@ class WeightState:
             raise ValueError("gradient has shape %s, expected (%d,)" % (g.shape, self.dim))
         if self.kind == ADAGRAD_LIKE:
             self.acc = self.acc + g * g
-            w = (self.varsigma + self.c + self.acc) ** self.mu
+            w = (self._shift + self.acc) ** self.mu
         else:
             self.acc = np.maximum(self.acc, np.abs(g))
             w = np.maximum(self.varsigma, self.acc) * (self.i + 1.0) ** self.nu
@@ -127,7 +132,7 @@ def init_lower_adagrad(varsigma, P_norm, Rg, alpha, Delta_norm, upper_weight_nor
     n = Rg.shape[0]
     floors = as_floor_vector(varsigma, n)
     w_hat = np.maximum(floors, np.sqrt(n) * P_norm * np.abs(Rg) / (alpha * Delta_norm))
-    scale = max(1.0, float(upper_weight_norm) / float(np.linalg.norm(w_hat)))
+    scale = max(1.0, float(upper_weight_norm) / vector_norm(w_hat))
     return scale * w_hat
 
 

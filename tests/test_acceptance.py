@@ -23,14 +23,12 @@ from moffo.bounds import (
 )
 from moffo.cli import write_trace_csv
 from moffo.hierarchy import (
-    LevelHierarchy,
     TransferOperator,
     build_coherent_model,
     interior_interpolation_1d,
     linear_interpolation_1d,
 )
 from moffo.problems import (
-    ProblemHierarchy,
     ResNetSpec,
     finite_difference_check,
     laplacian_quadratic_1d,
@@ -47,14 +45,6 @@ from moffo.weights import init_lower_adagrad, init_lower_divergent
 def _report(num, ok, detail=""):
     print("criterion %02d: %s %s" % (num, "PASS" if ok else "FAIL", detail))
     return ok
-
-
-def _single_level(problem):
-    top = problem.hierarchy.level(problem.hierarchy.r)
-    hier = LevelHierarchy([top], [])
-    return ProblemHierarchy(problem.name + "-single", hier, problem.x0,
-                            problem.exact_L, problem.f_low, problem.dataset_size,
-                            problem.noise, problem.sampled_grads, base=problem.base)
 
 
 def _cost_when(res, target):
@@ -229,7 +219,7 @@ def test_criterion_06_multilevel_benefit():
     g0 = float(np.linalg.norm(problem.exact_grad(3, problem.x0)))
     target = 1e-3 * g0
     scale = 0.003
-    res1 = solve(_single_level(problem),
+    res1 = solve(problem.single_level(),
                  SolverConfig(eps_top=target, i_max_top=40_000, mu=0.5, step_scale=scale))
     c1 = _cost_when(res1, target)
     res3 = solve(problem,
@@ -253,7 +243,7 @@ def test_criterion_07_noise_robustness():
     costs1, costs3 = [], []
     for seed in range(10):
         noisy1 = with_minibatch(base, 0.25, seed=seed)
-        res1 = solve(_single_level(noisy1),
+        res1 = solve(noisy1.single_level(),
                      SolverConfig(eps_top=1e-300, i_max_top=30_000, mu=0.5,
                                   step_scale=scale, record_iterates=True))
         noisy3 = with_minibatch(base, 0.25, seed=seed)

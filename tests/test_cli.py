@@ -1,5 +1,6 @@
 """Experiment runner: config validation, runs, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -14,7 +15,7 @@ from moffo.cli import (
     sgd_baseline,
     write_trace_csv,
 )
-from moffo.problems import quadratic_diag
+from moffo.problems import laplacian_quadratic_1d, quadratic_diag
 from moffo.solver import SolverConfig, solve
 
 
@@ -144,8 +145,7 @@ def test_list_problems(capsys):
         assert name in out
 
 
-def test_threads_env_sweep(tmp_path, monkeypatch):
-    monkeypatch.setenv("MOFFO_THREADS", "2")
+def test_multi_seed_sweep(tmp_path):
     cfg = {"problem": {"name": "quadratic2d"},
            "solver": {"eps_top": 1e-4, "i_max_top": 100},
            "runs": {"repetitions": 3, "seeds": [0, 1, 2], "out_dir": "."}}
@@ -172,3 +172,25 @@ def test_diagnostic_trace_mode_fills_f(tmp_path):
     assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_OK
     lines = (tmp_path / "trace_quadratic2d_seed0.csv").read_text().splitlines()
     assert lines[1].split(",")[10] != ""
+
+
+# sha256 of the trace CSV of criterion 06's solve cut to 500 top iterations,
+# recorded before the per-iteration arithmetic was streamlined; a speed-only
+# change to the solver must reproduce these bytes.
+_GOLDEN_LAP255 = {
+    3: "f658d768f52cd39cf93289afa39e4b1c8303e86821b4b413efb367610178d766",
+    1: "7bea69e37dd1ff588dc429f660228091e207a5808ad324e5d25d56397b3cc704",
+}
+
+
+@pytest.mark.parametrize("levels", [3, 1])
+def test_trace_csv_golden_digest(tmp_path, levels):
+    problem = laplacian_quadratic_1d(n_fine=255, levels=3)
+    target = 1e-3 * float(np.linalg.norm(problem.exact_grad(3, problem.x0)))
+    if levels == 1:
+        problem = problem.single_level()
+    res = solve(problem, SolverConfig(eps_top=target, i_max_top=500, mu=0.5,
+                                      step_scale=0.003))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(res.trace, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_LAP255[levels]

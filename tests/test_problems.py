@@ -235,3 +235,19 @@ def test_registry():
         build_problem("nope")
     with pytest.raises(ValueError):
         build_problem("chain1d", bogus=3)
+
+
+def test_single_level_keeps_top_level_and_metadata():
+    base = laplacian_quadratic_1d(n_fine=31, levels=3, dataset_size=8)
+    noisy = with_minibatch(base, 0.25, seed=1)
+    single = noisy.single_level()
+    assert single.r == 1
+    assert single.hierarchy.level(1) is noisy.hierarchy.level(3)
+    assert single.noise == noisy.noise and single.dataset_size == 8
+    x = np.random.default_rng(3).standard_normal(31)
+    assert np.array_equal(single.exact_grad(1, x), base.exact_grad(3, x))
+    # the unwrapped single level stays eligible for the minibatch wrapper,
+    # sampling the top level's data
+    again = with_minibatch(base.single_level(), 1.0, seed=1)
+    assert again.r == 1
+    assert np.array_equal(again.hierarchy.level(1).grad(x), base.exact_grad(3, x))

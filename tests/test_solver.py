@@ -1,12 +1,18 @@
 """Recursive driver: termination, cycles, cost accounting, invariants."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from moffo.hierarchy import Level, LevelHierarchy
+import moffo
+from moffo.hierarchy import Level, LevelHierarchy, TransferOperator
 from moffo.problems import ProblemHierarchy, laplacian_quadratic_1d, quadratic_diag
 from moffo.solver import (
     CostLedger,
+    NonFiniteGradientError,
     SolverConfig,
     cycle_shape,
     monitor_new_cond,
@@ -235,7 +241,6 @@ def test_budget_guard_rejects_runaway_lower_visit():
     lower = Level(1, grad=lambda y: np.array([1000.0]),
                   value=lambda y: 1000.0 * float(y[0]))
     top = Level(1, grad=lambda x: x.copy(), value=lambda x: 0.5 * float(x @ x))
-    from moffo.hierarchy import TransferOperator
     op = TransferOperator(np.eye(1), omega=1.0)
     hier = LevelHierarchy([lower, top], [op])
     cfg = SolverConfig(eps_top=1e-8, i_max_top=4, alpha=2.0, i_max=[10_000, 4],
@@ -256,3 +261,69 @@ def test_default_budgets_shape():
     assert cfg.resolved_i_max(1) == [77]
     assert cfg.resolved_i_max(2) == [10, 77]
     assert cfg.resolved_i_max(4) == [10, 2, 2, 77]
+
+
+def _poisoned(bad, after):
+    """Gradient of |x|^2 / 2 whose first component turns `bad` from call `after` on."""
+    calls = [0]
+
+    def grad(x):
+        g = x.copy()
+        if calls[0] >= after:
+            g[0] = bad
+        calls[0] += 1
+        return g
+
+    return grad
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_gradient_raises_named_error(bad):
+    hier = LevelHierarchy([Level(3, _poisoned(bad, 4))], [])
+    with pytest.raises(NonFiniteGradientError) as info:
+        solve(hier, SolverConfig(eps_top=1e-12, i_max_top=50), x0=np.ones(3))
+    assert (info.value.level, info.value.iteration) == (1, 4)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_lower_gradient_names_its_level(bad):
+    # the coarse oracle is poisoned after the anchor evaluation, so the
+    # failure surfaces at iteration 1 of the first lower visit
+    lower = Level(1, _poisoned(bad, 1))
+    top = Level(1, grad=lambda x: x.copy())
+    hier = LevelHierarchy([lower, top], [TransferOperator(np.eye(1), omega=1.0)])
+    cfg = SolverConfig(eps_top=1e-12, i_max_top=10, kappa_R=1e-6)
+    with pytest.raises(NonFiniteGradientError) as info:
+        solve(hier, cfg, x0=np.array([5.0]))
+    assert (info.value.level, info.value.iteration) == (1, 1)
+
+
+def test_nonfinite_gradient_raises_under_optimize_flag():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(moffo.__file__)))
+    code = """
+import numpy as np
+from moffo import Level, LevelHierarchy, NonFiniteGradientError, SolverConfig, solve
+if __debug__:
+    raise SystemExit("assertions are still enabled")
+for bad in (np.nan, np.inf):
+    hier = LevelHierarchy([Level(2, lambda x, bad=bad: np.array([bad, 1.0]))], [])
+    try:
+        solve(hier, SolverConfig(i_max_top=20), x0=np.ones(2))
+    except NonFiniteGradientError as exc:
+        print(exc.level, exc.iteration)
+    else:
+        raise SystemExit("no error for %r" % bad)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "0", "1", "0"]
+
+
+def test_wrong_shape_gradient_raises_value_error():
+    hier = LevelHierarchy([Level(2, lambda x: np.ones((2, 2)))], [])
+    with pytest.raises(ValueError, match="level 1 gradient has shape"):
+        solve(hier, SolverConfig(i_max_top=5), x0=np.ones(2))
