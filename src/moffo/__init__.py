@@ -7,7 +7,6 @@ from .hierarchy import (
     NumericalError,
     TransferOperator,
     build_coherent_model,
-    coherence_defect_ok,
     interior_interpolation_1d,
     linear_interpolation_1d,
     operator_norm,
@@ -22,7 +21,15 @@ from .weights import (
     init_lower_divergent,
     seed_lower_state,
 )
-from .step import HessianModel, TrustRegion, cauchy_step, compute_radius, linear_step, taylor_step
+from .step import (
+    HessianModel,
+    InvariantError,
+    TrustRegion,
+    cauchy_step,
+    compute_radius,
+    linear_step,
+    taylor_step,
+)
 from .solver import (
     CostLedger,
     IterationRecord,

@@ -47,32 +47,86 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# JSON value types, checked before any value reaches the solver or a builder.
+_TYPES = {
+    "number": ("a finite number", _is_number),
+    "integer": ("an integer", _is_int),
+    "boolean": ("true or false", lambda v: isinstance(v, bool)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "number?": ("a finite number or null", lambda v: v is None or _is_number(v)),
+    "floors": ("a finite number or a nonempty list of them",
+               lambda v: _is_number(v) or (isinstance(v, list) and len(v) > 0
+                                           and all(map(_is_number, v)))),
+    "integers": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "integers?": ("a list of integers or null",
+                  lambda v: v is None or (isinstance(v, list) and all(map(_is_int, v)))),
+}
+
+# config key -> (SolverConfig field, JSON type)
 _SOLVER_KEYS = {
-    "weights": "weight_kind",
-    "mu": "mu",
-    "nu": "nu",
-    "varsigma": "varsigma",
-    "kappa_R": "kappa_R",
-    "alpha": "alpha",
-    "tau": "tau",
-    "kappa_B": "kappa_B",
-    "eps_top": "eps_top",
-    "i_max": "i_max",
-    "i_max_top": "i_max_top",
-    "pre_smooth": "pre_smooth",
-    "post_smooth": "post_smooth",
-    "lower_eps_factor": "lower_eps_factor",
-    "step_scale": "step_scale",
-    "strict_descent_monitoring": "strict_descent_monitoring",
-    "weak_coherence": "weak_coherence_kappa_E",
-    "diag_values": "diag_values",
+    "weights": ("weight_kind", "string"),
+    "mu": ("mu", "number"),
+    "nu": ("nu", "number?"),
+    "varsigma": ("varsigma", "floors"),
+    "kappa_R": ("kappa_R", "number"),
+    "alpha": ("alpha", "number"),
+    "tau": ("tau", "number"),
+    "kappa_B": ("kappa_B", "number"),
+    "eps_top": ("eps_top", "number"),
+    "i_max": ("i_max", "integers?"),
+    "i_max_top": ("i_max_top", "integer"),
+    "pre_smooth": ("pre_smooth", "integer"),
+    "post_smooth": ("post_smooth", "integer"),
+    "lower_eps_factor": ("lower_eps_factor", "number"),
+    "step_scale": ("step_scale", "number"),
+    "strict_descent_monitoring": ("strict_descent_monitoring", "boolean"),
+    "diag_values": ("diag_values", "boolean"),
+}
+
+# noise wrapper -> {field: (JSON type, required)}
+_NOISE_KEYS = {
+    "minibatch": {"fraction": ("number", True), "seed": ("integer", False)},
+    "gaussian": {"sigma": ("number", True), "seed": ("integer", False)},
 }
 
 _BASELINE_KINDS = ("sgd", "adagrad_oracle", "single_level")
 
 
+def _check_type(where, value, kind):
+    desc, ok = _TYPES[kind]
+    if not ok(value):
+        raise ConfigError("%s must be %s, got %r" % (where, desc, value))
+
+
+def _check_noise(key, spec):
+    if not isinstance(spec, dict):
+        raise ConfigError("problem.%s must be an object" % key)
+    fields = _NOISE_KEYS[key]
+    extra = set(spec) - set(fields)
+    if extra:
+        raise ConfigError("problem.%s: unknown field(s) %s" % (key, sorted(extra)))
+    for field, (kind, required) in fields.items():
+        if field in spec:
+            _check_type("problem.%s.%s" % (key, field), spec[field], kind)
+        elif required:
+            raise ConfigError("problem.%s.%s is required" % (key, field))
+
+
 def load_config(path):
-    """Parse and validate an experiment config; raises ConfigError."""
+    """Parse and validate an experiment config; raises ConfigError.
+
+    JSON types are checked field by field; the problem is then built with
+    its noise wrappers and the solver constants are validated against it,
+    so a malformed value fails here, naming its field, before any run.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -87,6 +141,8 @@ def load_config(path):
         raise ConfigError("unknown top-level key(s): %s" % ", ".join(sorted(unknown)))
     if "problem" not in raw:
         raise ConfigError("missing required key: problem")
+    if not isinstance(raw["problem"], dict):
+        raise ConfigError("problem must be an object")
 
     prob = dict(raw["problem"])
     name = prob.pop("name", None)
@@ -96,15 +152,18 @@ def load_config(path):
         raise ConfigError("problem.name: unknown problem %r (known: %s)"
                           % (name, ", ".join(problems.PROBLEM_NAMES)))
     noise = {}
-    for noise_key in ("minibatch", "gaussian"):
+    for noise_key in _NOISE_KEYS:
         if noise_key in prob:
             noise[noise_key] = prob.pop(noise_key)
-            if not isinstance(noise[noise_key], dict):
-                raise ConfigError("problem.%s must be an object" % noise_key)
+            _check_noise(noise_key, noise[noise_key])
     try:
-        problems.build_problem(name, **prob)
+        problem = problems.build_problem(name, **prob)
     except (ValueError, TypeError) as exc:
         raise ConfigError("problem: %s" % exc)
+    try:
+        problem = _apply_noise(problem, noise, 0)
+    except ValueError as exc:
+        raise ConfigError("problem.%s: %s" % ("/".join(noise), exc))
 
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
@@ -113,7 +172,18 @@ def load_config(path):
     for key, val in solver_raw.items():
         if key not in _SOLVER_KEYS:
             raise ConfigError("solver.%s: unknown field" % key)
-        solver_kwargs[_SOLVER_KEYS[key]] = val
+        field, kind = _SOLVER_KEYS[key]
+        _check_type("solver." + key, val, kind)
+        solver_kwargs[field] = val
+    try:
+        SolverConfig(**solver_kwargs).validate(problem.r)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError("solver: %s" % exc)
+    floors = solver_kwargs.get("varsigma")
+    top_dim = problem.hierarchy.dim(problem.r)
+    if isinstance(floors, list) and len(floors) != top_dim:
+        raise ConfigError("solver.varsigma: %d floors for a problem of dimension %d"
+                          % (len(floors), top_dim))
 
     baselines = raw.get("baselines", [])
     if not isinstance(baselines, list):
@@ -127,6 +197,8 @@ def load_config(path):
             raise ConfigError("baselines[%d]: unknown field(s) %s" % (k, sorted(extra)))
         if entry["kind"] == "sgd" and "lr" not in entry:
             raise ConfigError("baselines[%d].lr is required for sgd" % k)
+        if "lr" in entry:
+            _check_type("baselines[%d].lr" % k, entry["lr"], "number")
 
     runs = raw.get("runs", {})
     if not isinstance(runs, dict):
@@ -134,14 +206,18 @@ def load_config(path):
     extra = set(runs) - {"repetitions", "seeds", "out_dir", "trace"}
     if extra:
         raise ConfigError("runs: unknown field(s) %s" % sorted(extra))
-    reps = int(runs.get("repetitions", 1))
+    reps = runs.get("repetitions", 1)
+    _check_type("runs.repetitions", reps, "integer")
     if reps < 1:
         raise ConfigError("runs.repetitions must be >= 1")
     seeds = runs.get("seeds")
     if seeds is None:
         seeds = list(range(reps))
+    _check_type("runs.seeds", seeds, "integers")
     if len(seeds) < reps:
         raise ConfigError("runs.seeds must list at least runs.repetitions seeds")
+    out_dir = runs.get("out_dir", ".")
+    _check_type("runs.out_dir", out_dir, "string")
     trace_mode = runs.get("trace", "standard")
     if trace_mode not in ("standard", "diagnostic"):
         raise ConfigError("runs.trace must be 'standard' or 'diagnostic'")
@@ -154,8 +230,8 @@ def load_config(path):
         "solver_kwargs": solver_kwargs,
         "baselines": baselines,
         "repetitions": reps,
-        "seeds": [int(s) for s in seeds[:reps]],
-        "out_dir": runs.get("out_dir", "."),
+        "seeds": seeds[:reps],
+        "out_dir": out_dir,
     }
 
 
@@ -181,9 +257,7 @@ def write_trace_csv(trace, path):
             ]) + "\n")
 
 
-def _build_problem_instance(spec, run_seed):
-    problem = problems.build_problem(spec["problem_name"], **spec["problem_params"])
-    noise = spec["noise"]
+def _apply_noise(problem, noise, run_seed):
     if "minibatch" in noise:
         mb = noise["minibatch"]
         seed = int(mb.get("seed", 0)) + 1000 * run_seed
@@ -193,6 +267,11 @@ def _build_problem_instance(spec, run_seed):
         seed = int(ga.get("seed", 0)) + 1000 * run_seed
         problem = problems.with_gaussian_noise(problem, float(ga["sigma"]), seed)
     return problem
+
+
+def _build_problem_instance(spec, run_seed):
+    problem = problems.build_problem(spec["problem_name"], **spec["problem_params"])
+    return _apply_noise(problem, spec["noise"], run_seed)
 
 
 def sgd_baseline(grad, x0, lr, steps, eps, eval_fraction=1.0):
@@ -225,7 +304,7 @@ def adagrad_oracle_baseline(grad, x0, steps, eps, varsigma=0.01, eval_fraction=1
 
 def _one_run(spec, seed, out_dir):
     problem = _build_problem_instance(spec, seed)
-    cfg = SolverConfig(seed=seed, **spec["solver_kwargs"])
+    cfg = SolverConfig(**spec["solver_kwargs"])
     t0 = time.perf_counter()
     res = solve(problem, cfg)
     wall = time.perf_counter() - t0
@@ -257,7 +336,7 @@ def _one_run(spec, seed, out_dir):
         else:
             kwargs = dict(spec["solver_kwargs"])
             kwargs.pop("i_max", None)
-            single_cfg = SolverConfig(seed=seed, **kwargs)
+            single_cfg = SolverConfig(**kwargs)
             single_cfg.i_max_top = steps
             sres = solve(bp.single_level(), single_cfg)
             gn, cost, iters = sres.final_grad_norm, sres.ledger.total(), sres.iterations

@@ -24,8 +24,6 @@ __all__ = [
     "linear_interpolation_1d",
     "interior_interpolation_1d",
     "build_coherent_model",
-    "coherence_defect",
-    "coherence_defect_ok",
 ]
 
 _POWER_MAX_ITER = 10_000
@@ -263,15 +261,17 @@ class CoherentModel:
         return self.base_value(x) + float(self.v @ (x - self.anchor))
 
 
-def build_coherent_model(lower_oracle, x_low0, g_upper, op, lower_value=None):
+def build_coherent_model(lower_oracle, x_low0, g_upper, op, lower_value=None, rg=None):
     """Assemble the coherent lower-level model at an anchor point.
 
     lower_oracle is the plain gradient of the lower objective; x_low0 the
     entry point (the restricted upper iterate); g_upper the current upper
-    gradient.  Evaluates the lower oracle once at the anchor.
+    gradient.  rg, when given, is op.restrict(g_upper), already computed by
+    the caller.  Evaluates the lower oracle once at the anchor.
     """
     x_low0 = np.asarray(x_low0, dtype=float)
-    rg = op.restrict(np.asarray(g_upper, dtype=float))
+    if rg is None:
+        rg = op.restrict(np.asarray(g_upper, dtype=float))
     if rg.shape != x_low0.shape:
         raise ValueError(
             "restricted gradient has shape %s, anchor has shape %s" % (rg.shape, x_low0.shape)
@@ -282,15 +282,3 @@ def build_coherent_model(lower_oracle, x_low0, g_upper, op, lower_value=None):
     v = rg - g_low0
     return CoherentModel(lower_oracle, v, x_low0, rg, base_value=lower_value)
 
-
-def coherence_defect(op, g):
-    """Norm of (omega * P^T - R) g; identically zero for derived restrictions."""
-    g = np.asarray(g, dtype=float)
-    return float(np.linalg.norm(op.omega * (op.P.T @ g) - op.restrict(g)))
-
-
-def coherence_defect_ok(E_norm_estimate, delta_lower, kappa_E):
-    """Weak-coherence test: the coupling error is small against the lower budget."""
-    if E_norm_estimate < 0 or delta_lower < 0 or kappa_E < 0:
-        raise ValueError("weak-coherence inputs must be nonnegative")
-    return E_norm_estimate <= kappa_E * delta_lower

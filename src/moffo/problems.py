@@ -316,6 +316,12 @@ def build_depth_prolongation(k_coarse, block_size=1, n_shared=0, omega=0.5):
 
 
 def _unpack_resnet(x, spec, K):
+    """Views of a parameter or gradient vector: the layer stack theta, its
+    weights W and biases b, then the shared read-in Q, read-out WT and bT.
+
+    Each reshape splits a contiguous axis, so none of them copies; the
+    gradient is written through these views.
+    """
     w, n_in, n_out = spec.width, spec.n_in, spec.n_out
     blk = spec.block
     theta = x[: K * blk].reshape(K, blk)
@@ -325,58 +331,63 @@ def _unpack_resnet(x, spec, K):
     Q = rest[: w * n_in].reshape(w, n_in)
     WT = rest[w * n_in: w * n_in + n_out * w].reshape(n_out, w)
     bT = rest[w * n_in + n_out * w:]
-    return W, b, Q, WT, bT
+    return theta, W, b, Q, WT, bT
 
 
 def _resnet_eval(x, spec, K, Y, C, idx, want_grad):
-    """Forward pass plus hand-coded reverse accumulation through the chain."""
+    """Forward pass, then the value, or the gradient by hand-coded reverse
+    accumulation through the chain.
+
+    States and activations live in preallocated layer stacks.  The backward
+    loop carries only the recurrence in dq; the weight and bias gradients of
+    all layers are then one batched product and one sum, written straight
+    into views of the returned gradient vector.
+    """
     w = spec.width
     dt = spec.horizon / (K - 1)
-    W, b, Q, WT, bT = _unpack_resnet(x, spec, K)
+    theta, W, b, Q, WT, bT = _unpack_resnet(x, spec, K)
     Ys = Y if idx is None else Y[idx]
     Cs = C if idx is None else C[idx]
     nb = Ys.shape[0]
 
-    q = Ys @ Q.T
-    states = [q]
-    acts = []
+    states = np.empty((K, nb, w))
+    acts = np.empty((K - 1, nb, w))
+    q = np.matmul(Ys, Q.T, out=states[0])
     for k in range(K - 1):
-        a = np.tanh(q @ W[k].T + b[k])
-        acts.append(a)
-        q = q + dt * a
-        states.append(q)
+        a = np.tanh(q @ W[k].T + b[k], out=acts[k])
+        q = np.add(q, dt * a, out=states[k + 1])
     resid = q @ WT.T + bT - Cs
 
-    theta = np.concatenate([W.reshape(K, w * w), b], axis=1)
-    dtheta = np.diff(theta, axis=0)
-    value = (
-        float(np.sum(resid * resid)) / nb
-        + 0.5 * spec.beta1 * (float(np.sum(WT * WT)) + float(np.sum(bT * bT)))
-        + dt * 0.5 * spec.beta1 * float(np.sum(theta[:-1] * theta[:-1]))
-        + 0.5 * spec.beta2 / dt * float(np.sum(dtheta * dtheta))
-    )
+    dtheta = theta[1:] - theta[:-1]
     if not want_grad:
-        return value, None
+        return (
+            float(np.sum(resid * resid)) / nb
+            + 0.5 * spec.beta1 * (float(np.sum(WT * WT)) + float(np.sum(bT * bT)))
+            + dt * 0.5 * spec.beta1 * float(np.sum(theta[:-1] * theta[:-1]))
+            + 0.5 * spec.beta2 / dt * float(np.sum(dtheta * dtheta))
+        )
 
-    gW = np.zeros_like(W)
-    gb = np.zeros_like(b)
+    grad = np.empty(x.size)
+    gtheta, gW, gb, gQ, gWT, gbT = _unpack_resnet(grad, spec, K)
     dout = 2.0 * resid / nb
-    gWT = dout.T @ states[-1] + spec.beta1 * WT
-    gbT = dout.sum(axis=0) + spec.beta1 * bT
     dq = dout @ WT
+    dact = 1.0 - acts * acts
+    dz = np.empty((K - 1, nb, w))
     for k in range(K - 2, -1, -1):
-        dz = (dt * dq) * (1.0 - acts[k] * acts[k])
-        gW[k] = dz.T @ states[k]
-        gb[k] = dz.sum(axis=0)
-        dq = dq + dz @ W[k]
-    gQ = dq.T @ Ys
-
-    gtheta = np.concatenate([gW.reshape(K, w * w), gb], axis=1)
+        np.multiply(dt * dq, dact[k], out=dz[k])
+        dq = dq + dz[k] @ W[k]
+    np.matmul(dz.transpose(0, 2, 1), states[:-1], out=gW[:-1])
+    np.sum(dz, axis=1, out=gb[:-1])
+    gtheta[-1] = 0.0
     gtheta[:-1] += dt * spec.beta1 * theta[:-1]
-    gtheta[:-1] -= spec.beta2 / dt * dtheta
-    gtheta[1:] += spec.beta2 / dt * dtheta
-    grad = np.concatenate([gtheta.ravel(), gQ.ravel(), gWT.ravel(), gbT.ravel()])
-    return value, grad
+    smooth = spec.beta2 / dt * dtheta
+    gtheta[:-1] -= smooth
+    gtheta[1:] += smooth
+
+    np.matmul(dq.T, Ys, out=gQ)
+    np.add(dout.T @ states[-1], spec.beta1 * WT, out=gWT)
+    np.add(dout.sum(axis=0), spec.beta1 * bT, out=gbT)
+    return grad
 
 
 def resnet_regression(spec=None, n_samples=64, seed=0):
@@ -406,13 +417,13 @@ def resnet_regression(spec=None, n_samples=64, seed=0):
     sampled = []
     for K in ks:
         def grad(x, K=K):
-            return _resnet_eval(x, spec, K, Y, C, None, True)[1]
+            return _resnet_eval(x, spec, K, Y, C, None, True)
 
         def value(x, K=K):
-            return _resnet_eval(x, spec, K, Y, C, None, False)[0]
+            return _resnet_eval(x, spec, K, Y, C, None, False)
 
         def sgrad(x, idx, K=K):
-            return _resnet_eval(x, spec, K, Y, C, idx, True)[1]
+            return _resnet_eval(x, spec, K, Y, C, idx, True)
 
         levels_list.append(Level(spec.dim(K), grad, value))
         sampled.append(sgrad)
@@ -458,7 +469,7 @@ def with_minibatch(problem, batch_fraction, seed):
 
 def with_gaussian_noise(problem, sigma, seed):
     """Additive Gaussian gradient noise, one fresh draw per call, per-level streams."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     root = problem.base if problem.base is not None else problem
     levels = []

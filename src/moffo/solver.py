@@ -11,12 +11,13 @@ componentwise trust region, an optional recursion into the coarser level
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import LevelHierarchy, coherence_defect, coherence_defect_ok, build_coherent_model
-from .step import HessianModel, compute_radius, taylor_step, vector_norm
+from .hierarchy import LevelHierarchy, build_coherent_model
+from .step import HessianModel, InvariantError, compute_radius, taylor_step, vector_norm
 from .weights import (
     ADAGRAD_LIKE,
     MAXGI,
@@ -41,6 +42,12 @@ __all__ = [
 ]
 
 _ASSERT_RTOL = 1e-9
+
+
+def _is_integral(v):
+    """An integral real number (2 or 2.0), but not a bool, NaN or infinity."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and float(v).is_integer())
 
 
 class NonFiniteGradientError(ValueError):
@@ -74,13 +81,12 @@ class SolverConfig:
     lower_eps_factor: float = 0.1
     step_scale: float = 1.0
     strict_descent_monitoring: bool = False
-    weak_coherence_kappa_E: float | None = None
     diag_values: bool = False
     record_iterates: bool = False
     debug_checks: bool = True
-    seed: int = 0
 
     def validate(self, r):
+        # Range tests are written so that NaN fails them.
         if self.weight_kind not in (ADAGRAD_LIKE, MAXGI):
             raise ValueError("unknown weight kind %r" % self.weight_kind)
         if not 0.0 < self.mu < 1.0:
@@ -90,26 +96,31 @@ class SolverConfig:
             raise ValueError("nu must lie in (0, mu]")
         if not 0.0 < self.kappa_R < 1.0:
             raise ValueError("kappa_R must lie in (0, 1)")
-        if self.alpha < 1.0:
+        if not self.alpha >= 1.0:
             raise ValueError("alpha must be >= 1")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
-        if self.kappa_B < 1.0:
+        if not self.kappa_B >= 1.0:
             raise ValueError("kappa_B must be >= 1")
         if not self.eps_top > 0.0:
             raise ValueError("eps_top must be positive")
-        if self.pre_smooth < 1 or self.post_smooth < 0:
-            raise ValueError("need pre_smooth >= 1 and post_smooth >= 0")
+        if not (_is_integral(self.pre_smooth) and _is_integral(self.post_smooth)
+                and self.pre_smooth >= 1 and self.post_smooth >= 0):
+            raise ValueError("need integers pre_smooth >= 1 and post_smooth >= 0")
         if not 0.0 < self.lower_eps_factor <= 1.0:
             raise ValueError("lower_eps_factor must lie in (0, 1]")
         if not self.step_scale > 0.0:
             raise ValueError("step_scale must be positive")
-        if self.weak_coherence_kappa_E is not None and self.weak_coherence_kappa_E < 0.0:
-            raise ValueError("weak-coherence kappa_E must be >= 0")
-        budgets = self.resolved_i_max(r)
-        if len(budgets) != r or any(int(b) != b or b < 1 for b in budgets):
+        if not _is_integral(self.i_max_top) or self.i_max_top < 1:
+            raise ValueError("i_max_top must be a positive integer")
+        budgets = self.i_max if self.i_max is not None else self.resolved_i_max(r)
+        if len(budgets) != r or not all(_is_integral(b) and b >= 1 for b in budgets):
             raise ValueError("i_max must be %d positive integers" % r)
-        np.asarray(self.varsigma, dtype=float)  # shape checked per level later
+        v = np.asarray(self.varsigma, dtype=float)  # shape checked per level later
+        if v.size == 0 or not (v.min() > 0.0 and v.max() <= 1.0):
+            raise ValueError("varsigma must lie in (0, 1]")
+        if v.ndim != 0 and r > 1:
+            raise ValueError("per-coordinate floors require a single-level hierarchy")
 
     def nu_resolved(self):
         return self.mu if self.nu is None else self.nu
@@ -220,14 +231,19 @@ def cycle_shape(level, i, pre_smooth=1, post_smooth=0):
     return "try_recursive" if i % period == pre_smooth else "taylor"
 
 
-def should_recurse(Rg, w_low, g, w, kappa_R):
+def should_recurse(Rg, w_low, g, w, kappa_R, decrease=None):
     """Significant-progress test: the restricted linear decrease is at least
-    a kappa_R fraction of the current level's."""
+    a kappa_R fraction of the current level's.
+
+    decrease, when given, is the current level's sum of g**2 / w, already
+    computed by the caller; it is recomputed from g and w otherwise.
+    """
     Rg = np.asarray(Rg, dtype=float)
-    g = np.asarray(g, dtype=float)
     lhs = float((Rg * Rg / np.asarray(w_low, dtype=float)).sum())
-    rhs = kappa_R * float((g * g / np.asarray(w, dtype=float)).sum())
-    return lhs >= rhs
+    if decrease is None:
+        g = np.asarray(g, dtype=float)
+        decrease = float((g * g / np.asarray(w, dtype=float)).sum())
+    return lhs >= kappa_R * decrease
 
 
 def monitor_new_cond(lower_trace, upper_g, upper_w, kappa_R, enabled=True):
@@ -281,9 +297,6 @@ class _Runtime:
         self.r = hier.r
         self.i_max = cfg.resolved_i_max(hier.r)
         self._floors = {}
-        scalar = np.asarray(cfg.varsigma, dtype=float)
-        if scalar.ndim != 0 and hier.r > 1:
-            raise ValueError("per-coordinate floors require a single-level hierarchy")
         for l in range(1, hier.r + 1):
             self._floors[l] = as_floor_vector(cfg.varsigma, hier.dim(l))
         self.varsigma_min = min(float(f.min()) for f in self._floors.values())
@@ -301,8 +314,8 @@ def _fresh_state(rt, level):
                        rt.hier.dim(level))
 
 
-def _eval_gradient(rt, level, objective, x, i):
-    """Evaluate the model gradient, charging the ledger.
+def _eval_gradient(rt, level, objective, x, i, eval_fraction):
+    """Evaluate the model gradient, charging the ledger eval_fraction.
 
     Iteration 0 of a coherent lower-level model reuses the anchor evaluation
     performed while building the model, which was charged at build time.
@@ -314,7 +327,7 @@ def _eval_gradient(rt, level, objective, x, i):
     if g.shape != x.shape:
         raise ValueError("level %d gradient has shape %s, expected %s"
                          % (level, g.shape, x.shape))
-    rt.ledger.add(level, rt.hier.level(level).eval_fraction)
+    rt.ledger.add(level, eval_fraction)
     return g
 
 
@@ -322,9 +335,17 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
     """One solver call at the given level; returns (x_plus, completed_steps)."""
     cfg = rt.cfg
     r = rt.r
+    is_top = level == r
     op_up = rt.hier.op(level + 1) if level < r else None
     op_down = rt.hier.op(level) if level > 1 else None
+    up_norm = op_up.norm if op_up is not None else 0.0
+    eval_fraction = rt.hier.level(level).eval_fraction
     i_budget = rt.i_max[level - 1]
+    # cycle_shape's schedule, with its period read once per visit
+    pre_smooth = cfg.pre_smooth
+    period = pre_smooth + 1 + cfg.post_smooth
+    diag_values, record_iterates = cfg.diag_values, cfg.record_iterates
+    debug_checks, step_scale, tau = cfg.debug_checks, cfg.step_scale, cfg.tau
     x0 = np.asarray(x0, dtype=float)
     x = x0.copy()
     x_prev = None
@@ -332,19 +353,21 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
     while True:
         # Step 1: budget guard, then gradient evaluation and termination tests.
         if level < r and vector_norm(op_up.prolong(x - x0)) > delta_cap:
-            assert x_prev is not None, "movement budget violated at entry"
+            if x_prev is None:
+                raise InvariantError("movement budget violated at entry")
             return x_prev, i - 1
-        g = _eval_gradient(rt, level, objective, x, i)
+        g = _eval_gradient(rt, level, objective, x, i, eval_fraction)
         gnorm = vector_norm(g)
         if not math.isfinite(gnorm):
             raise NonFiniteGradientError(level, i, gnorm)
-        f_diag = objective.value(x) if cfg.diag_values else None
-        if level == r:
-            if cfg.record_iterates:
+        f_diag = objective.value(x) if diag_values else None
+        if is_top:
+            if record_iterates:
                 rt.trace.top_iterates.append(x.copy())
             if gnorm < rt.best_gnorm:
                 rt.best_gnorm = gnorm
-                rt.best_x = x.copy()
+                # iterates are rebound by x = x + s, never written in place
+                rt.best_x = x
         if gnorm <= eps or i == i_budget:
             rt.trace.add(IterationRecord(level, i, "taylor", gnorm, 0.0, 0.0, 0.0,
                                          None, None, rt.ledger.total(), f_diag))
@@ -358,40 +381,39 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
                                          float(w.min()), float(w.max()),
                                          rt.ledger.total(), f_diag, decrease))
             return x, i
-        tr = compute_radius(w, g, level == r, delta_cap,
-                            op_up.norm if op_up is not None else 0.0,
-                            scale=cfg.step_scale)
+        tr = compute_radius(w, g, is_top, delta_cap, up_norm, scale=step_scale)
 
         # Step 3: recursion attempt when the cycle schedules one.
         kind = "taylor"
         s = None
-        if level > 1 and cycle_shape(level, i, cfg.pre_smooth, cfg.post_smooth) == "try_recursive":
+        if level > 1 and i % period == pre_smooth:
             s = _try_recursive(rt, level, op_down, x, g, w, tr, decrease)
             if s is not None:
                 kind = "recursive"
 
         # Step 4: Taylor step.
         if s is None:
-            s = taylor_step(g, tr.delta, rt.B, cfg.tau)
-            if cfg.debug_checks and decrease > 0.0:
+            s = taylor_step(g, tr.delta, rt.B, tau)
+            if debug_checks and decrease > 0.0:
                 # Cap-aware form of the linear-decrease guarantee: the plain
                 # bound is provable only for an uncapped unit-scale radius,
                 # which is the regime the convergence proofs rely on.
                 eff = min(1.0, float(np.abs(g) @ tr.delta) / decrease)
-                bound = (-(cfg.tau * rt.varsigma_min / (2.0 * cfg.kappa_B)) * eff * decrease
+                bound = (-(tau * rt.varsigma_min / (2.0 * cfg.kappa_B)) * eff * decrease
                          + 0.5 * cfg.kappa_B * tr.delta_norm ** 2)
                 lhs = float(g @ s)
-                assert lhs <= bound + _ASSERT_RTOL * (1.0 + abs(bound)), \
-                    "linear decrease bound violated at a Taylor iteration"
+                if not lhs <= bound + _ASSERT_RTOL * (1.0 + abs(bound)):
+                    raise InvariantError("linear decrease bound violated at a Taylor iteration")
 
         step_norm = vector_norm(s)
-        if cfg.debug_checks:
-            assert step_norm <= cfg.alpha * tr.delta_hat_norm * (1.0 + _ASSERT_RTOL) + 1e-300, \
-                "step norm exceeds alpha * ||D(w)|g||"
+        if debug_checks:
+            if not step_norm <= cfg.alpha * tr.delta_hat_norm * (1.0 + _ASSERT_RTOL) + 1e-300:
+                raise InvariantError("step norm exceeds alpha * ||D(w)|g||")
             if level < r:
                 cap_mult = 2.0 if kind == "taylor" else 2.0 * cfg.alpha
-                assert vector_norm(op_up.prolong(s)) <= \
-                    cap_mult * delta_cap * (1.0 + _ASSERT_RTOL), "prolonged step exceeds budget"
+                if not (vector_norm(op_up.prolong(s))
+                        <= cap_mult * delta_cap * (1.0 + _ASSERT_RTOL)):
+                    raise InvariantError("prolonged step exceeds budget")
 
         # Step 5: update.
         x_prev = x
@@ -415,17 +437,14 @@ def _try_recursive(rt, level, op_down, x, g, w, tr, decrease):
     else:
         w_low = init_lower_divergent(floors_low, op_down.norm, Rg, cfg.alpha,
                                      delta_norm, float(w.min()))
-    if not should_recurse(Rg, w_low, g, w, cfg.kappa_R):
+    if not should_recurse(Rg, w_low, g, w, cfg.kappa_R, decrease=decrease):
         return None
     delta_low = cfg.alpha * delta_norm
-    if cfg.weak_coherence_kappa_E is not None:
-        defect = coherence_defect(op_down, g)
-        if not coherence_defect_ok(defect, delta_low, cfg.weak_coherence_kappa_E):
-            return None
 
     lower = rt.hier.level(level - 1)
     x_low0 = op_down.restrict(x)
-    model = build_coherent_model(lower.grad, x_low0, g, op_down, lower_value=lower.value)
+    model = build_coherent_model(lower.grad, x_low0, g, op_down, lower_value=lower.value,
+                                 rg=Rg)
     rt.ledger.add(level - 1, lower.eval_fraction)  # anchor evaluation inside the build
     eps_low = cfg.lower_eps_factor * vector_norm(Rg)
     state = seed_lower_state(cfg.weight_kind, cfg.mu, cfg.nu_resolved(), floors_low,
@@ -434,11 +453,11 @@ def _try_recursive(rt, level, op_down, x, g, w, tr, decrease):
     x_low, completed = _run_level(rt, level - 1, model, x_low0, eps_low, delta_low,
                                   state, monitor_threshold=threshold)
     if cfg.debug_checks:
-        if cfg.lower_eps_factor < 1.0:
-            assert completed >= 1, "no iteration completed at the lower level"
+        if cfg.lower_eps_factor < 1.0 and not completed >= 1:
+            raise InvariantError("no iteration completed at the lower level")
         lhs = vector_norm(np.abs(Rg) / w_low)
-        assert lhs <= cfg.alpha * delta_norm / op_down.norm * (1.0 + _ASSERT_RTOL), \
-            "lower radius budget condition violated"
+        if not lhs <= cfg.alpha * delta_norm / op_down.norm * (1.0 + _ASSERT_RTOL):
+            raise InvariantError("lower radius budget condition violated")
     return op_down.prolong(x_low - x_low0)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "InvariantError",
     "TrustRegion",
     "HessianModel",
     "compute_radius",
@@ -26,6 +27,14 @@ __all__ = [
 ]
 
 _SLACK = 1e-12
+
+
+class InvariantError(AssertionError):
+    """A theory invariant of the method failed.
+
+    This signals an internal defect, not bad input, and is raised with or
+    without python -O.
+    """
 
 
 def vector_norm(v):
@@ -55,7 +64,7 @@ class HessianModel:
     def __init__(self, kind, data=None, kappa_B=1.0):
         if kind not in ("zero", "diagonal", "explicit"):
             raise ValueError("unknown Hessian kind %r" % kind)
-        if kappa_B < 1.0:
+        if not kappa_B >= 1.0:
             raise ValueError("kappa_B must be >= 1")
         self.kind = kind
         self.kappa_B = float(kappa_B)
@@ -119,7 +128,7 @@ def compute_radius(w, g, is_top, delta, P_up_norm, scale=1.0):
     """
     w = np.asarray(w, dtype=float)
     g = np.asarray(g, dtype=float)
-    if (w <= 0.0).any():
+    if not w.min() > 0.0:
         raise ValueError("weights must be strictly positive")
     delta_hat = scale * np.abs(g) / w
     nd = vector_norm(delta_hat)
@@ -160,7 +169,7 @@ def taylor_step(g, delta, B, tau, refine=False):
     is the linear step and its model value is g^T s.  With refine=True and a
     nonzero model a single projected diagonal-Newton sweep is tried and kept
     only if it still meets the condition.  Violations of the box or decrease
-    conditions indicate an internal bug and trip an assertion.
+    conditions indicate an internal bug and raise InvariantError.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
@@ -179,8 +188,10 @@ def taylor_step(g, delta, B, tau, refine=False):
             m_cand = B.model(g, cand)
             if m_cand <= tau * mQ:
                 s, m = cand, m_cand
-    assert (np.abs(s) <= delta * (1.0 + _SLACK) + _SLACK).all(), "step left the trust region"
-    assert m <= tau * mQ + _SLACK * (1.0 + abs(mQ)), "decrease condition violated"
+    if not (np.abs(s) <= delta * (1.0 + _SLACK) + _SLACK).all():
+        raise InvariantError("step left the trust region")
+    if not m <= tau * mQ + _SLACK * (1.0 + abs(mQ)):
+        raise InvariantError("decrease condition violated")
     return s
 
 

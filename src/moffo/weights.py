@@ -14,6 +14,8 @@ such vectors, and seed_lower_state extends them into a full schedule.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .step import vector_norm
@@ -38,7 +40,7 @@ def as_floor_vector(varsigma, dim):
         v = np.full(dim, float(v))
     if v.shape != (dim,):
         raise ValueError("floor vector has shape %s, expected (%d,)" % (v.shape, dim))
-    if (v <= 0.0).any() or (v > 1.0).any():
+    if not (v.min() > 0.0 and v.max() <= 1.0):
         raise ValueError("floors must lie in (0, 1]")
     return v
 
@@ -71,7 +73,7 @@ class WeightState:
         # accumulator: sum of squares (adagrad_like) or running max (maxgi)
         self.acc = np.zeros(dim)
         self.c = np.zeros(dim) if base_offset is None else np.asarray(base_offset, dtype=float)
-        if (self.c < 0.0).any():
+        if not self.c.min() >= 0.0:
             raise ValueError("base offsets must be nonnegative")
         # varsigma + c + acc evaluates left to right, so the constant part
         # can be summed once.
@@ -116,7 +118,7 @@ def init_lower_divergent(varsigma, P_norm, Rg, alpha, Delta_norm, min_upper_weig
     Rg = np.asarray(Rg, dtype=float)
     n = Rg.shape[0]
     floors = as_floor_vector(varsigma, n)
-    budget = np.sqrt(n) * P_norm * np.abs(Rg) / (alpha * Delta_norm)
+    budget = math.sqrt(n) * P_norm * np.abs(Rg) / (alpha * Delta_norm)
     return np.maximum(np.maximum(floors, budget), float(min_upper_weight))
 
 
@@ -124,16 +126,18 @@ def init_lower_adagrad(varsigma, P_norm, Rg, alpha, Delta_norm, upper_weight_nor
     """Starting weights for a lower level under the AdaGrad-like family.
 
     First builds the componentwise budget-feasible vector, then scales it up
-    so its Euclidean norm is at least the norm of the upper weights.
+    so its Euclidean norm is at least the norm of the upper weights; when no
+    scaling is needed the budget-feasible vector itself is returned.
     """
     if Delta_norm <= 0.0:
         raise ValueError("Delta_norm must be positive")
     Rg = np.asarray(Rg, dtype=float)
     n = Rg.shape[0]
     floors = as_floor_vector(varsigma, n)
-    w_hat = np.maximum(floors, np.sqrt(n) * P_norm * np.abs(Rg) / (alpha * Delta_norm))
+    w_hat = np.maximum(floors, math.sqrt(n) * P_norm * np.abs(Rg) / (alpha * Delta_norm))
     scale = max(1.0, float(upper_weight_norm) / vector_norm(w_hat))
-    return scale * w_hat
+    # 1.0 * w_hat is exact, so the unscaled vector serves as is.
+    return w_hat if scale == 1.0 else scale * w_hat
 
 
 def seed_lower_state(kind, mu, nu, varsigma, w0, g0):

@@ -15,7 +15,13 @@ from moffo.cli import (
     sgd_baseline,
     write_trace_csv,
 )
-from moffo.problems import laplacian_quadratic_1d, quadratic_diag
+from moffo.problems import (
+    build_problem,
+    laplacian_quadratic_1d,
+    nonconvex_chain_1d,
+    quadratic_diag,
+    with_minibatch,
+)
 from moffo.solver import SolverConfig, solve
 
 
@@ -90,6 +96,34 @@ def test_unknown_keys_rejected(tmp_path, capsys):
             "baselines": [{"kind": "sgd"}]}
     assert main(["run", _write(tmp_path, cfg3)]) == EXIT_CONFIG
     assert "lr" in capsys.readouterr().err
+
+
+_MALFORMED = [
+    ({"problem": "laplacian1d"}, "problem must be an object"),
+    ({"runs": {"seeds": 3}}, "runs.seeds"),
+    ({"runs": {"repetitions": "x"}}, "runs.repetitions"),
+    ({"solver": {"mu": 2.0}}, "mu must lie in (0, 1)"),
+    ({"solver": {"i_max_top": "many"}}, "solver.i_max_top"),
+    ({"solver": {"alpha": float("nan")}}, "solver.alpha"),
+    ({"problem": {"minibatch": {"fraction": 2.0}}}, "problem.minibatch"),
+    ({"problem": {"minibatch": {}}}, "problem.minibatch.fraction"),
+    ({"baselines": [{"kind": "sgd", "lr": "fast"}]}, "baselines[0].lr"),
+]
+
+
+@pytest.mark.parametrize("patch,field", _MALFORMED, ids=[f for _, f in _MALFORMED])
+def test_malformed_config_values_exit_2(tmp_path, capsys, patch, field):
+    cfg = {"problem": {"name": "laplacian1d", "n_fine": 15, "levels": 2},
+           "solver": {"i_max_top": 5}, "runs": {"out_dir": "."}}
+    for key, val in patch.items():
+        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+            cfg[key] = {**cfg[key], **val}
+        else:
+            cfg[key] = val
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_single_level_baseline_with_multilevel_budgets(tmp_path):
@@ -194,3 +228,41 @@ def test_trace_csv_golden_digest(tmp_path, levels):
     path = tmp_path / "trace.csv"
     write_trace_csv(res.trace, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_LAP255[levels]
+
+
+# sha256 of the trace CSVs of solves through the paths a speed-only change to
+# the ResNet oracle, the recursion attempt or the weight initialisation
+# touches: the default ResNet (multilevel and single level), the minibatch
+# Laplacian of configs/laplacian_multilevel.json with a cut top budget, and
+# the divergent-weight chain with the lower-level descent monitor.
+_GOLDEN_PATHS = {
+    "resnet-3": "597a9a7163060e972109f3ba74951d65e842706513cff67361d02ddd5cf4ed5b",
+    "resnet-1": "5983737377a9d275cd479717415d996acb15fa4f960ca2823a3594143d220b62",
+    "minibatch": "86a376901c1bbe85c2a789bb1cea2d8870d6b138b080c1b61b27e8ee0840f872",
+    "chain-maxgi": "3700ac75cd777c3a1a88482185c808069189a93b68e8b8e3f1933ff2e07c25b3",
+}
+
+
+def _golden_solve(case):
+    if case.startswith("resnet"):
+        problem = build_problem("resnet")
+        if case == "resnet-1":
+            problem = problem.single_level()
+        return solve(problem, SolverConfig(i_max_top=20))
+    if case == "minibatch":
+        problem = with_minibatch(laplacian_quadratic_1d(n_fine=255, levels=3), 0.25, 0)
+        return solve(problem, SolverConfig(weight_kind="adagrad_like", mu=0.5, varsigma=0.01,
+                                           kappa_R=0.01, alpha=5.0, eps_top=0.1,
+                                           i_max=[10, 2, 200], step_scale=0.01))
+    return solve(nonconvex_chain_1d(n_fine=63, levels=3),
+                 SolverConfig(weight_kind="maxgi", strict_descent_monitoring=True,
+                              i_max_top=300, eps_top=1e-6))
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_PATHS))
+def test_trace_csv_golden_digest_paths(tmp_path, case):
+    res = _golden_solve(case)
+    assert any(rec.kind == "recursive" for rec in res.trace.records) == (case != "resnet-1")
+    path = tmp_path / "trace.csv"
+    write_trace_csv(res.trace, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_PATHS[case]

@@ -6,8 +6,6 @@ import pytest
 from moffo.hierarchy import (
     TransferOperator,
     build_coherent_model,
-    coherence_defect,
-    coherence_defect_ok,
     interior_interpolation_1d,
     linear_interpolation_1d,
     operator_norm,
@@ -142,18 +140,10 @@ def test_interior_interpolation_shapes():
                        [0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5])
 
 
-def test_coherence_defect_ok_cases():
-    assert coherence_defect_ok(0.0, 123.0, 0.5)
-    assert not coherence_defect_ok(1.0, 0.5, 1.0)
-    assert coherence_defect_ok(0.4, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        coherence_defect_ok(-1.0, 1.0, 1.0)
-
-
 def test_coherence_defect_zero_for_derived_restriction():
     op = interior_interpolation_1d(7)
     g = np.random.default_rng(1).standard_normal(op.n_fine)
-    assert coherence_defect(op, g) == 0.0
+    assert np.linalg.norm(op.omega * (op.P.T @ g) - op.restrict(g)) == 0.0
 
 
 def test_operator_validation():

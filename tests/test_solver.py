@@ -194,28 +194,6 @@ def test_strict_descent_monitor_terminates_lower_level():
     assert low_on <= low_off
 
 
-def test_weak_coherence_mode_noop_for_exact_operators():
-    problem = laplacian_quadratic_1d(n_fine=15, levels=2)
-    cfg_a = SolverConfig(eps_top=1e-6, i_max_top=80, mu=0.5)
-    cfg_b = SolverConfig(eps_top=1e-6, i_max_top=80, mu=0.5, weak_coherence_kappa_E=0.0)
-    res_a = solve(problem, cfg_a)
-    res_b = solve(problem, cfg_b)
-    assert res_a.ledger.total() == res_b.ledger.total()
-    assert np.array_equal(res_a.x, res_b.x)
-
-
-def test_weak_coherence_skips_on_synthetic_defect(monkeypatch):
-    # a perturbed restriction makes the defect positive; kappa_E = 0 then
-    # vetoes every recursion while the run still completes
-    import moffo.solver as solver_mod
-
-    problem = laplacian_quadratic_1d(n_fine=15, levels=2)
-    monkeypatch.setattr(solver_mod, "coherence_defect", lambda op, g: 1.0)
-    cfg = SolverConfig(eps_top=1e-6, i_max_top=80, mu=0.5, weak_coherence_kappa_E=0.0)
-    res = solve(problem, cfg)
-    assert all(r.kind == "taylor" for r in res.trace.records)
-
-
 def test_config_validation_errors():
     problem = quadratic_diag()
     for bad in (dict(kappa_R=1.5), dict(alpha=0.5), dict(tau=0.0), dict(mu=0.0),
@@ -299,13 +277,19 @@ def test_nonfinite_lower_gradient_names_its_level(bad):
     assert (info.value.level, info.value.iteration) == (1, 1)
 
 
-def test_nonfinite_gradient_raises_under_optimize_flag():
+def _run_optimized(code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(moffo.__file__)))
-    code = """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    prelude = "if __debug__:\n    raise SystemExit('assertions are still enabled')\n"
+    return subprocess.run([sys.executable, "-O", "-c", prelude + code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_nonfinite_gradient_raises_under_optimize_flag():
+    out = _run_optimized("""
 import numpy as np
 from moffo import Level, LevelHierarchy, NonFiniteGradientError, SolverConfig, solve
-if __debug__:
-    raise SystemExit("assertions are still enabled")
 for bad in (np.nan, np.inf):
     hier = LevelHierarchy([Level(2, lambda x, bad=bad: np.array([bad, 1.0]))], [])
     try:
@@ -314,11 +298,7 @@ for bad in (np.nan, np.inf):
         print(exc.level, exc.iteration)
     else:
         raise SystemExit("no error for %r" % bad)
-"""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
+""")
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["1", "0", "1", "0"]
 
@@ -327,3 +307,71 @@ def test_wrong_shape_gradient_raises_value_error():
     hier = LevelHierarchy([Level(2, lambda x: np.ones((2, 2)))], [])
     with pytest.raises(ValueError, match="level 1 gradient has shape"):
         solve(hier, SolverConfig(i_max_top=5), x0=np.ones(2))
+
+
+def _counting_hierarchy():
+    calls = []
+
+    def grad(x):
+        calls.append(1)
+        return x.copy()
+
+    return LevelHierarchy([Level(2, grad)], []), calls
+
+
+@pytest.mark.parametrize("field", ["alpha", "kappa_B", "varsigma", "mu", "kappa_R", "tau",
+                                   "eps_top", "lower_eps_factor", "step_scale",
+                                   "pre_smooth", "i_max_top"])
+def test_nan_constant_rejected_before_first_iteration(field):
+    hier, calls = _counting_hierarchy()
+    with pytest.raises(ValueError):
+        solve(hier, SolverConfig(**{field: float("nan")}), x0=np.ones(2))
+    assert calls == []
+
+
+def test_nan_constants_rejected_under_optimize_flag():
+    out = _run_optimized("""
+import numpy as np
+from moffo import Level, LevelHierarchy, SolverConfig, solve
+for field in ("alpha", "kappa_B", "varsigma"):
+    calls = []
+    hier = LevelHierarchy([Level(2, lambda x: calls.append(1) or x.copy())], [])
+    try:
+        solve(hier, SolverConfig(**{field: float("nan")}), x0=np.ones(2))
+    except ValueError as exc:
+        print(field, len(calls))
+    else:
+        raise SystemExit("no error for %s" % field)
+""")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["alpha", "0", "kappa_B", "0", "varsigma", "0"]
+
+
+def test_invariant_errors_raise_under_optimize_flag():
+    # an out-of-box linear step trips taylor_step's own check; an oversized
+    # step handed to the solver trips its debug step-norm check
+    out = _run_optimized("""
+import numpy as np
+import moffo
+from moffo import InvariantError, SolverConfig, quadratic_diag, solve
+from moffo import solver, step
+assert issubclass(InvariantError, AssertionError)
+linear = step.linear_step
+step.linear_step = lambda g, delta: 2.0 * linear(g, delta)
+try:
+    solve(quadratic_diag(), SolverConfig(i_max_top=5))
+except InvariantError as exc:
+    print(exc)
+step.linear_step = linear
+taylor = solver.taylor_step
+solver.taylor_step = lambda g, delta, B, tau: 100.0 * taylor(g, delta, B, tau)
+try:
+    solve(quadratic_diag(), SolverConfig(i_max_top=5))
+except InvariantError as exc:
+    print(exc)
+res = solve(quadratic_diag(), SolverConfig(i_max_top=5, debug_checks=False))
+print(res.iterations)
+""")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["step left the trust region",
+                                       "step norm exceeds alpha * ||D(w)|g||", "5"]

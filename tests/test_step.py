@@ -13,6 +13,7 @@ from moffo.step import (
     taylor_step,
     taylor_decrease_bound,
 )
+from moffo.weights import ADAGRAD_LIKE, WeightState, as_floor_vector
 
 
 def test_radius_top_level_example():
@@ -146,3 +147,15 @@ def test_hessian_model_bounds():
 def test_taylor_step_rejects_bad_tau():
     with pytest.raises(ValueError):
         taylor_step(np.ones(2), np.ones(2), HessianModel.zero(), 0.0)
+
+
+def test_nan_rejected_at_component_boundaries():
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        compute_radius(np.array([nan, 1.0]), np.ones(2), True, np.inf, 0.0)
+    with pytest.raises(ValueError):
+        HessianModel.zero(kappa_B=nan)
+    with pytest.raises(ValueError):
+        as_floor_vector(np.array([0.5, nan]), 2)
+    with pytest.raises(ValueError):
+        WeightState(ADAGRAD_LIKE, 0.5, None, 0.1, 2, base_offset=[0.0, nan])
