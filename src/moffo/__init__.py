@@ -4,7 +4,6 @@ from .hierarchy import (
     CoherentModel,
     Level,
     LevelHierarchy,
-    NumericalError,
     TransferOperator,
     build_coherent_model,
     interior_interpolation_1d,

@@ -126,6 +126,8 @@ def load_config(path):
     JSON types are checked field by field; the problem is then built with
     its noise wrappers and the solver constants are validated against it,
     so a malformed value fails here, naming its field, before any run.
+    The un-noised problem is returned under "problem"; each run and
+    baseline wraps it in fresh noise streams instead of building it again.
     """
     try:
         with open(path) as fh:
@@ -157,11 +159,11 @@ def load_config(path):
             noise[noise_key] = prob.pop(noise_key)
             _check_noise(noise_key, noise[noise_key])
     try:
-        problem = problems.build_problem(name, **prob)
+        base = problems.build_problem(name, **prob)
     except (ValueError, TypeError) as exc:
         raise ConfigError("problem: %s" % exc)
     try:
-        problem = _apply_noise(problem, noise, 0)
+        problem = _apply_noise(base, noise, 0)
     except ValueError as exc:
         raise ConfigError("problem.%s: %s" % ("/".join(noise), exc))
 
@@ -226,6 +228,7 @@ def load_config(path):
     return {
         "problem_name": name,
         "problem_params": prob,
+        "problem": base,
         "noise": noise,
         "solver_kwargs": solver_kwargs,
         "baselines": baselines,
@@ -258,6 +261,8 @@ def write_trace_csv(trace, path):
 
 
 def _apply_noise(problem, noise, run_seed):
+    """Wrap an un-noised problem in the configured noise, with fresh streams
+    seeded from run_seed; without noise the problem itself is returned."""
     if "minibatch" in noise:
         mb = noise["minibatch"]
         seed = int(mb.get("seed", 0)) + 1000 * run_seed
@@ -267,11 +272,6 @@ def _apply_noise(problem, noise, run_seed):
         seed = int(ga.get("seed", 0)) + 1000 * run_seed
         problem = problems.with_gaussian_noise(problem, float(ga["sigma"]), seed)
     return problem
-
-
-def _build_problem_instance(spec, run_seed):
-    problem = problems.build_problem(spec["problem_name"], **spec["problem_params"])
-    return _apply_noise(problem, spec["noise"], run_seed)
 
 
 def sgd_baseline(grad, x0, lr, steps, eps, eval_fraction=1.0):
@@ -303,7 +303,7 @@ def adagrad_oracle_baseline(grad, x0, steps, eps, varsigma=0.01, eval_fraction=1
 
 
 def _one_run(spec, seed, out_dir):
-    problem = _build_problem_instance(spec, seed)
+    problem = _apply_noise(spec["problem"], spec["noise"], seed)
     cfg = SolverConfig(**spec["solver_kwargs"])
     t0 = time.perf_counter()
     res = solve(problem, cfg)
@@ -322,7 +322,7 @@ def _one_run(spec, seed, out_dir):
     baseline_entries = {}
     for base in spec["baselines"]:
         kind = base["kind"]
-        bp = _build_problem_instance(spec, seed)
+        bp = _apply_noise(spec["problem"], spec["noise"], seed)
         top = bp.hierarchy.level(bp.hierarchy.r)
         steps = cfg.resolved_i_max(bp.hierarchy.r)[-1]
         t0 = time.perf_counter()
@@ -394,7 +394,7 @@ def cmd_check_bounds(config_path, out_dir=None):
     out = out_dir or spec["out_dir"]
     os.makedirs(out, exist_ok=True)
     try:
-        problem = problems.build_problem(spec["problem_name"], **spec["problem_params"])
+        problem = spec["problem"]
         cfg = SolverConfig(**spec["solver_kwargs"])
         if problem.exact_L is None or problem.f_low is None:
             print("config error: problem.name: bound checks need exact_L and f_low",

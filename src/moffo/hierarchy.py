@@ -10,10 +10,13 @@ restricted upper gradient.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .step import vector_norm
+
 __all__ = [
-    "NumericalError",
     "TransferOperator",
     "Level",
     "LevelHierarchy",
@@ -31,32 +34,31 @@ _POWER_TOL = 1e-10
 _DENSE_SVD_MAX = 64
 
 
-class NumericalError(RuntimeError):
-    """An iterative linear-algebra routine failed to converge."""
-
-
 def _spectral_norm(P):
     """Largest singular value of a dense matrix.
 
     Dense SVD is used for small matrices; otherwise power iteration on the
-    Gram matrix, seeded with the all-ones vector for determinism.
+    Gram matrix, seeded with the all-ones vector for determinism.  When the
+    iteration budget runs out (a clustered top spectrum converges too slowly
+    for the tolerance), the dense SVD's value is returned instead.
     """
     if min(P.shape) <= _DENSE_SVD_MAX:
         return float(np.linalg.svd(P, compute_uv=False)[0])
     G = P.T @ P if P.shape[0] >= P.shape[1] else P @ P.T
     v = np.ones(G.shape[0])
-    v /= np.linalg.norm(v)
+    v /= vector_norm(v)
+    w = np.empty_like(v)
     lam_old = 0.0
     for _ in range(_POWER_MAX_ITER):
-        w = G @ v
-        lam = float(np.linalg.norm(w))
+        np.matmul(G, v, out=w)
+        lam = vector_norm(w)
         if lam == 0.0:
             return 0.0
-        v = w / lam
+        np.divide(w, lam, out=v)
         if abs(lam - lam_old) <= _POWER_TOL * lam:
-            return float(np.sqrt(lam))
+            return math.sqrt(lam)
         lam_old = lam
-    raise NumericalError("power iteration did not converge in %d iterations" % _POWER_MAX_ITER)
+    return float(np.linalg.svd(P, compute_uv=False)[0])
 
 
 class TransferOperator:

@@ -203,7 +203,8 @@ def laplacian_quadratic_1d(n_fine=255, levels=3, dataset_size=40, noise_scale=0.
             return 0.5 * float(x @ _laplacian_apply(x, h)) - float(bk @ x)
 
         def sgrad(x, idx, h=h, bk=bk, zk=zk):
-            return _laplacian_apply(x, h) - bk + zk[idx].mean(axis=0)
+            # the arithmetic of zk[idx].mean(axis=0), without its wrapper
+            return _laplacian_apply(x, h) - bk + zk.take(idx, axis=0).sum(axis=0) / idx.size
 
         levels_list.append(Level(n, grad, value))
         sampled.append(sgrad)

@@ -161,7 +161,9 @@ class CostLedger:
         return float(self.counts[level - 1])
 
     def total(self):
-        return float(self._weights @ self.counts)
+        # ndarray.dot skips the matmul dispatch of @; the two differ only in
+        # the sign of a zero result, which nonnegative operands cannot give.
+        return float(self._weights.dot(self.counts))
 
 
 @dataclass(slots=True)
@@ -239,10 +241,10 @@ def should_recurse(Rg, w_low, g, w, kappa_R, decrease=None):
     computed by the caller; it is recomputed from g and w otherwise.
     """
     Rg = np.asarray(Rg, dtype=float)
-    lhs = float((Rg * Rg / np.asarray(w_low, dtype=float)).sum())
+    lhs = float(np.add.reduce(Rg * Rg / np.asarray(w_low, dtype=float)))
     if decrease is None:
         g = np.asarray(g, dtype=float)
-        decrease = float((g * g / np.asarray(w, dtype=float)).sum())
+        decrease = float(np.add.reduce(g * g / np.asarray(w, dtype=float)))
     return lhs >= kappa_R * decrease
 
 
@@ -278,9 +280,8 @@ class _TopObjective:
 
     def __init__(self, level):
         self._level = level
-
-    def grad(self, x):
-        return self._level.grad(x)
+        # the level's own oracle, called without an adapter hop
+        self.grad = level.grad
 
     def value(self, x):
         return None if self._level.value is None else float(self._level.value(x))
@@ -374,20 +375,24 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
             return x, i
 
         # Step 2: weights from the just-evaluated gradient, then the radius.
-        w = wstate.update(g)
-        decrease = float((g * g / w).sum())
+        # g*g, |g| and min(w) are each formed once and handed to the helpers.
+        gg = g * g
+        w = wstate.update(g, gg)
+        decrease = float(np.add.reduce(gg / w))
+        w_min = float(np.minimum.reduce(w))
         if monitor_threshold is not None and decrease < monitor_threshold:
             rt.trace.add(IterationRecord(level, i, "taylor", gnorm, 0.0, 0.0, 0.0,
-                                         float(w.min()), float(w.max()),
+                                         w_min, float(np.maximum.reduce(w)),
                                          rt.ledger.total(), f_diag, decrease))
             return x, i
-        tr = compute_radius(w, g, is_top, delta_cap, up_norm, scale=step_scale)
+        abs_g = np.abs(g)
+        tr = compute_radius(w, abs_g, w_min, is_top, delta_cap, up_norm, scale=step_scale)
 
         # Step 3: recursion attempt when the cycle schedules one.
         kind = "taylor"
         s = None
         if level > 1 and i % period == pre_smooth:
-            s = _try_recursive(rt, level, op_down, x, g, w, tr, decrease)
+            s = _try_recursive(rt, level, op_down, x, g, w, w_min, tr, decrease)
             if s is not None:
                 kind = "recursive"
 
@@ -398,7 +403,8 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
                 # Cap-aware form of the linear-decrease guarantee: the plain
                 # bound is provable only for an uncapped unit-scale radius,
                 # which is the regime the convergence proofs rely on.
-                eff = min(1.0, float(np.abs(g) @ tr.delta) / decrease)
+                # nonnegative operands: .dot is @ bit for bit (see CostLedger)
+                eff = min(1.0, float(abs_g.dot(tr.delta)) / decrease)
                 bound = (-(tau * rt.varsigma_min / (2.0 * cfg.kappa_B)) * eff * decrease
                          + 0.5 * cfg.kappa_B * tr.delta_norm ** 2)
                 lhs = float(g @ s)
@@ -420,23 +426,23 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
         x = x + s
         rt.trace.add(IterationRecord(level, i, kind, gnorm, step_norm,
                                      tr.delta_hat_norm, tr.delta_norm,
-                                     float(w.min()), float(w.max()),
+                                     w_min, float(np.maximum.reduce(w)),
                                      rt.ledger.total(), f_diag, decrease))
         i += 1
 
 
-def _try_recursive(rt, level, op_down, x, g, w, tr, decrease):
+def _try_recursive(rt, level, op_down, x, g, w, w_min, tr, decrease):
     """Attempt the recursive step; returns the prolonged step or None."""
     cfg = rt.cfg
     Rg = op_down.restrict(g)
     delta_norm = tr.delta_norm
-    floors_low = rt.floors(level - 1)
+    floors_low = rt.floors(level - 1)  # validated once, by _Runtime
     if cfg.weight_kind == ADAGRAD_LIKE:
         w_low = init_lower_adagrad(floors_low, op_down.norm, Rg, cfg.alpha,
                                    delta_norm, vector_norm(w))
     else:
         w_low = init_lower_divergent(floors_low, op_down.norm, Rg, cfg.alpha,
-                                     delta_norm, float(w.min()))
+                                     delta_norm, w_min)
     if not should_recurse(Rg, w_low, g, w, cfg.kappa_R, decrease=decrease):
         return None
     delta_low = cfg.alpha * delta_norm

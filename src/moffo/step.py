@@ -46,7 +46,7 @@ def vector_norm(v):
     return math.sqrt(v.dot(v))
 
 
-@dataclass
+@dataclass(slots=True)
 class TrustRegion:
     """Componentwise radius delta, its uncapped version delta_hat, level cap,
     and the Euclidean norms of both radii."""
@@ -119,18 +119,17 @@ class HessianModel:
         return float(g @ s) + 0.5 * self.quad(s)
 
 
-def compute_radius(w, g, is_top, delta, P_up_norm, scale=1.0):
-    """Build the trust region from weights and the current gradient.
+def compute_radius(w, abs_g, w_min, is_top, delta, P_up_norm, scale=1.0):
+    """Build the trust region from weights w, the gradient magnitudes
+    abs_g = |g| and the smallest weight w_min = min(w).
 
     At the top level the radius is the raw scale * |g| / w.  Below it, the
     raw radius is shrunk by min(2*delta / (P_up_norm * ||raw||), 1) so that
     prolonged steps stay commensurate with the remaining budget delta.
     """
-    w = np.asarray(w, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if not w.min() > 0.0:
+    if not w_min > 0.0:
         raise ValueError("weights must be strictly positive")
-    delta_hat = scale * np.abs(g) / w
+    delta_hat = scale * abs_g / w
     nd = vector_norm(delta_hat)
     if is_top:
         return TrustRegion(delta_hat, delta_hat, np.inf, nd, nd)
@@ -188,7 +187,7 @@ def taylor_step(g, delta, B, tau, refine=False):
             m_cand = B.model(g, cand)
             if m_cand <= tau * mQ:
                 s, m = cand, m_cand
-    if not (np.abs(s) <= delta * (1.0 + _SLACK) + _SLACK).all():
+    if not np.logical_and.reduce(np.abs(s) <= delta * (1.0 + _SLACK) + _SLACK):
         raise InvariantError("step left the trust region")
     if not m <= tau * mQ + _SLACK * (1.0 + abs(mQ)):
         raise InvariantError("decrease condition violated")

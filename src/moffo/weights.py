@@ -83,13 +83,14 @@ class WeightState:
         )
         self._first_emit = None if first_emit is None else np.array(first_emit, dtype=float)
 
-    def update(self, g):
-        """Fold the current gradient in and emit the weights for this iteration."""
+    def update(self, g, gg):
+        """Fold the current gradient g, with its squares gg = g * g, in and
+        emit the weights for this iteration."""
         g = np.asarray(g, dtype=float)
         if g.shape != (self.dim,):
             raise ValueError("gradient has shape %s, expected (%d,)" % (g.shape, self.dim))
         if self.kind == ADAGRAD_LIKE:
-            self.acc = self.acc + g * g
+            self.acc = self.acc + gg
             w = (self._shift + self.acc) ** self.mu
         else:
             self.acc = np.maximum(self.acc, np.abs(g))
@@ -105,35 +106,35 @@ class WeightState:
         return w
 
 
-def init_lower_divergent(varsigma, P_norm, Rg, alpha, Delta_norm, min_upper_weight):
+def init_lower_divergent(floors, P_norm, Rg, alpha, Delta_norm, min_upper_weight):
     """Starting weights for a lower level under the divergent family.
 
     Componentwise max of the floors, the budget term making the first lower
     radius fit (in the Euclidean norm, hence the sqrt(n) factor), and the
     smallest upper weight, which keeps the lower minimum weight no smaller
-    than the upper one.
+    than the upper one.  floors is a floor vector of Rg's size, as
+    returned by as_floor_vector.
     """
     if Delta_norm <= 0.0:
         raise ValueError("Delta_norm must be positive")
     Rg = np.asarray(Rg, dtype=float)
     n = Rg.shape[0]
-    floors = as_floor_vector(varsigma, n)
     budget = math.sqrt(n) * P_norm * np.abs(Rg) / (alpha * Delta_norm)
     return np.maximum(np.maximum(floors, budget), float(min_upper_weight))
 
 
-def init_lower_adagrad(varsigma, P_norm, Rg, alpha, Delta_norm, upper_weight_norm):
+def init_lower_adagrad(floors, P_norm, Rg, alpha, Delta_norm, upper_weight_norm):
     """Starting weights for a lower level under the AdaGrad-like family.
 
     First builds the componentwise budget-feasible vector, then scales it up
     so its Euclidean norm is at least the norm of the upper weights; when no
     scaling is needed the budget-feasible vector itself is returned.
+    floors is as for init_lower_divergent.
     """
     if Delta_norm <= 0.0:
         raise ValueError("Delta_norm must be positive")
     Rg = np.asarray(Rg, dtype=float)
     n = Rg.shape[0]
-    floors = as_floor_vector(varsigma, n)
     w_hat = np.maximum(floors, math.sqrt(n) * P_norm * np.abs(Rg) / (alpha * Delta_norm))
     scale = max(1.0, float(upper_weight_norm) / vector_norm(w_hat))
     # 1.0 * w_hat is exact, so the unscaled vector serves as is.

@@ -126,7 +126,7 @@ def test_criterion_04_structural_invariants_fuzz():
         kappa_B = rng.uniform(1.0, 4.0)
         B = HessianModel.diagonal(rng.uniform(-kappa_B, kappa_B, n), kappa_B=kappa_B)
         tau = rng.uniform(0.05, 1.0)
-        tr = compute_radius(w, g, True, np.inf, 0.0)
+        tr = compute_radius(w, np.abs(g), w.min(), True, np.inf, 0.0)
         s = taylor_step(g, tr.delta, B, tau)
         sQ = cauchy_step(g, tr.delta, B)
         mq = B.model(g, sQ)
@@ -163,7 +163,7 @@ def test_criterion_04_structural_invariants_fuzz():
         w = rng.uniform(0.01, 3.0, n)
         delta_cap = 10.0 ** rng.uniform(-3, 2)
         p_norm = rng.uniform(0.2, 3.0)
-        tr = compute_radius(w, g, False, delta_cap, p_norm)
+        tr = compute_radius(w, np.abs(g), w.min(), False, delta_cap, p_norm)
         s = rng.uniform(-1.0, 1.0, n) * tr.delta
         if not p_norm * np.linalg.norm(s) <= 2.0 * delta_cap * (1 + 1e-12):
             violations += 1

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from moffo import problems
 from moffo.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -234,16 +235,37 @@ def test_trace_csv_golden_digest(tmp_path, levels):
 # the ResNet oracle, the recursion attempt or the weight initialisation
 # touches: the default ResNet (multilevel and single level), the minibatch
 # Laplacian of configs/laplacian_multilevel.json with a cut top budget, and
-# the divergent-weight chain with the lower-level descent monitor.
+# the divergent-weight chain with the lower-level descent monitor.  The
+# second group, recorded before the level loop formed each per-iteration
+# product once, pins post-smoothing, tau < 1, the f_diag column (lap31
+# cases, both with capped lower radii) and accepted recursions on lap255.
 _GOLDEN_PATHS = {
     "resnet-3": "597a9a7163060e972109f3ba74951d65e842706513cff67361d02ddd5cf4ed5b",
     "resnet-1": "5983737377a9d275cd479717415d996acb15fa4f960ca2823a3594143d220b62",
     "minibatch": "86a376901c1bbe85c2a789bb1cea2d8870d6b138b080c1b61b27e8ee0840f872",
     "chain-maxgi": "3700ac75cd777c3a1a88482185c808069189a93b68e8b8e3f1933ff2e07c25b3",
+    "lap31-post-smooth": "0151a21ecdd0582abbb482a78e3c85c9c11259a0cf72ddce8cbd542cf63a1471",
+    "quadratic-tau": "dc8283b57c97b81fad5eacf0cea8cf14e1673a38f874a2118adb634c1e2fbd2c",
+    "lap31-diag": "c4f29c06c860e4814755545034a5a2726730ec6687efce06cb280338fd04eebe",
+    "lap255-kappa": "950166d74a3317d87fc2454955930303c029df3d94359988fbc54ace700fd7ab",
 }
+_SINGLE_LEVEL_CASES = ("resnet-1", "quadratic-tau")
 
 
 def _golden_solve(case):
+    if case == "lap31-post-smooth":
+        return solve(laplacian_quadratic_1d(n_fine=31, levels=3),
+                     SolverConfig(post_smooth=1, eps_top=1e-4, i_max_top=300))
+    if case == "quadratic-tau":
+        return solve(quadratic_diag(), SolverConfig(tau=0.5, eps_top=1e-6, i_max_top=200))
+    if case == "lap31-diag":
+        return solve(laplacian_quadratic_1d(n_fine=31, levels=3),
+                     SolverConfig(diag_values=True, eps_top=1e-4, i_max_top=300))
+    if case == "lap255-kappa":
+        problem = laplacian_quadratic_1d(n_fine=255, levels=3)
+        target = 1e-3 * float(np.linalg.norm(problem.exact_grad(3, problem.x0)))
+        return solve(problem, SolverConfig(eps_top=target, i_max_top=300, mu=0.5,
+                                           step_scale=0.003, kappa_R=1e-3))
     if case.startswith("resnet"):
         problem = build_problem("resnet")
         if case == "resnet-1":
@@ -262,7 +284,41 @@ def _golden_solve(case):
 @pytest.mark.parametrize("case", sorted(_GOLDEN_PATHS))
 def test_trace_csv_golden_digest_paths(tmp_path, case):
     res = _golden_solve(case)
-    assert any(rec.kind == "recursive" for rec in res.trace.records) == (case != "resnet-1")
+    assert (any(rec.kind == "recursive" for rec in res.trace.records)
+            == (case not in _SINGLE_LEVEL_CASES))
     path = tmp_path / "trace.csv"
     write_trace_csv(res.trace, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_PATHS[case]
+
+
+# sha256 of the trace CSVs of a minibatch `moffo run` with three baselines,
+# and of its summary without wall times, recorded when every baseline still
+# built the problem anew.
+_GOLDEN_RUN = {
+    "trace_laplacian1d_seed3.csv": "d05004d82cba3ba117601f96589ef157f2cac18c5eae46818fc379767bb2287e",
+    "trace_laplacian1d_seed4.csv": "785b50a6dc2b71e45544b9df3ac0b4e4217a9c0f7086ce21512b51a12fd3b6dd",
+    "summary": "a8dd959787ea61b03dd5f0ef0719932806ab145f5acdb6996b464dc0bfadc35f",
+}
+
+
+def test_run_builds_problem_once(tmp_path, monkeypatch):
+    builds = []
+    build = problems.build_problem
+    monkeypatch.setattr(problems, "build_problem",
+                        lambda *args, **kwargs: builds.append(args) or build(*args, **kwargs))
+    cfg = {"problem": {"name": "laplacian1d", "n_fine": 31, "levels": 3,
+                       "minibatch": {"fraction": 0.5, "seed": 1}},
+           "solver": {"eps_top": 1e-4, "i_max_top": 200},
+           "baselines": [{"kind": "sgd", "lr": 1e-5}, {"kind": "adagrad_oracle"},
+                         {"kind": "single_level"}],
+           "runs": {"repetitions": 2, "seeds": [3, 4], "out_dir": "."}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert len(builds) == 1
+    for name, digest in _GOLDEN_RUN.items():
+        if name.endswith(".csv"):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    for entry in summary["runs"] + [e for v in summary["baselines"].values() for e in v]:
+        del entry["wall_time_s"]
+    canonical = json.dumps(summary, sort_keys=True).encode()
+    assert hashlib.sha256(canonical).hexdigest() == _GOLDEN_RUN["summary"]

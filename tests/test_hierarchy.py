@@ -13,6 +13,7 @@ from moffo.hierarchy import (
     sigma_min,
 )
 from moffo.problems import laplacian_quadratic_1d
+from moffo.solver import SolverConfig, solve
 
 
 def test_restriction_is_omega_p_transpose():
@@ -68,6 +69,16 @@ def test_norm_cached_and_power_iteration_path():
     ref = np.linalg.svd(P, compute_uv=False)[0]
     assert operator_norm(op) == pytest.approx(ref, rel=1e-8)
     assert op.norm is op.norm or op.norm == op.norm  # cached value stable
+
+
+def test_norm_falls_back_to_svd_when_power_iteration_stalls():
+    # The top of P^T P is clustered for n_fine = 511, so power iteration runs
+    # out of iterations; this solve used to raise at its first recursion.
+    problem = laplacian_quadratic_1d(n_fine=511, levels=2)
+    res = solve(problem, SolverConfig(i_max_top=20))
+    assert res.iterations == 20
+    op = problem.hierarchy.op(2)
+    assert abs(op.norm - np.linalg.svd(op.P, compute_uv=False)[0]) <= 1e-12
 
 
 def test_coherent_model_telescoping():

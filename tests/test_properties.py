@@ -1,6 +1,6 @@
 """Property-based checks that the streamlined step, norm, ledger, weight,
-transfer and ResNet-oracle arithmetic is bit-equal to the textbook formulas
-it replaces, plus the weight-schedule invariants.
+transfer and oracle arithmetic is bit-equal to the textbook formulas it
+replaces, plus the weight-schedule invariants.
 
 These sit beside criterion 04's hand-rolled fuzz, which checks the
 theory invariants themselves.
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from moffo.hierarchy import TransferOperator, build_coherent_model
-from moffo.problems import ResNetSpec, resnet_regression
+from moffo.problems import ResNetSpec, laplacian_quadratic_1d, resnet_regression
 from moffo.solver import CostLedger, should_recurse
 from moffo.step import HessianModel, cauchy_step, compute_radius, taylor_step, vector_norm
 from moffo.weights import (
@@ -62,7 +62,7 @@ def test_vector_norm_is_linalg_norm(n, seed, log_scale):
 def test_trust_region_norms_and_cap(gw, is_top, cap, p_norm, scale):
     g, w = gw
     w = w + 1e-3
-    tr = compute_radius(w, g, is_top, cap, p_norm, scale=scale)
+    tr = compute_radius(w, np.abs(g), float(w.min()), is_top, cap, p_norm, scale=scale)
     assert _same_bits(tr.delta_hat, scale * np.abs(g) / w)
     assert _same_bits(tr.delta_hat_norm, np.linalg.norm(tr.delta_hat))
     assert _same_bits(tr.delta_norm, np.linalg.norm(tr.delta))
@@ -128,9 +128,26 @@ def test_weights_nondecreasing_and_floored(case):
     state = WeightState(kind, mu, nu, floors, floors.size)
     prev = floors
     for g in grads:
-        w = state.update(g)
+        w = state.update(g, g * g)
         assert (w >= floors).all() and (w >= prev).all()
         prev = w
+
+
+@_SETTINGS
+@given(_schedule())
+def test_weight_update_is_textbook_schedule(case):
+    # the schedule with the accumulator written out, squares formed in place
+    kind, mu, nu, floors, grads = case
+    state = WeightState(kind, mu, nu, floors, floors.size)
+    acc = np.zeros(floors.size)
+    for i, g in enumerate(grads):
+        if kind == ADAGRAD_LIKE:
+            acc = acc + g * g
+            reference = (floors + np.zeros(floors.size) + acc) ** mu
+        else:
+            acc = np.maximum(acc, np.abs(g))
+            reference = np.maximum(floors, acc) * (i + 1.0) ** nu
+        assert _same_bits(state.update(g, g * g), reference)
 
 
 @_SETTINGS
@@ -139,9 +156,9 @@ def test_seeded_lower_state_emits_w0_then_stays_above(case, lift):
     kind, mu, nu, floors, grads = case
     w0 = lift * floors
     state = seed_lower_state(kind, mu, nu, floors, w0, grads[0])
-    assert _same_bits(state.update(grads[0]), w0)
+    assert _same_bits(state.update(grads[0], grads[0] * grads[0]), w0)
     for g in grads[1:]:
-        assert (state.update(g) >= w0).all()
+        assert (state.update(g, g * g) >= w0).all()
 
 
 @_SETTINGS
@@ -234,3 +251,19 @@ def test_resnet_oracle_is_per_layer_reference(width, n_in, n_out, k_coarse, leve
         else:
             _, grad = _resnet_reference(x, spec, K, Y[idx], C[idx])
             assert _same_bits(problem.sampled_grads[l - 1](x, idx), grad)
+
+
+@_SETTINGS
+@given(st.integers(1, 3), st.integers(1, 60), st.integers(0, 2**32 - 1), st.floats(-5, 5))
+def test_sampled_laplacian_gradient_is_mean_form(levels, dataset_size, seed, log_scale):
+    problem = laplacian_quadratic_1d(n_fine=31, levels=levels, dataset_size=dataset_size)
+    rng = np.random.default_rng(seed)
+    for l in range(1, levels + 1):
+        n = problem.hierarchy.dim(l)
+        x = rng.standard_normal(n)
+        zk = 10.0 ** log_scale * rng.standard_normal((dataset_size, n))
+        nb = int(rng.integers(1, dataset_size + 1))
+        idx = rng.choice(dataset_size, size=nb, replace=False)
+        # the textbook form: the exact gradient plus the mean sampled offset
+        reference = problem.hierarchy.level(l).grad(x) + zk[idx].mean(axis=0)
+        assert _same_bits(problem.sampled_grads[l - 1](x, idx, zk=zk), reference)

@@ -17,13 +17,13 @@ from moffo.weights import ADAGRAD_LIKE, WeightState, as_floor_vector
 
 
 def test_radius_top_level_example():
-    tr = compute_radius(np.array([2.0, 4.0]), np.array([1.0, 2.0]), True, np.inf, 0.0)
+    tr = compute_radius(np.array([2.0, 4.0]), np.array([1.0, 2.0]), 2.0, True, np.inf, 0.0)
     assert np.allclose(tr.delta_hat, [0.5, 0.5])
     assert np.allclose(tr.delta, [0.5, 0.5])
 
 
 def test_radius_lower_level_cap_example():
-    tr = compute_radius(np.array([2.0, 4.0]), np.array([1.0, 2.0]), False, 0.1, 1.0)
+    tr = compute_radius(np.array([2.0, 4.0]), np.array([1.0, 2.0]), 2.0, False, 0.1, 1.0)
     scale = min(0.2 / np.sqrt(0.5), 1.0)
     assert scale == pytest.approx(0.2828427, rel=1e-6)
     assert np.allclose(tr.delta, [0.1414214, 0.1414214], rtol=1e-6)
@@ -31,13 +31,13 @@ def test_radius_lower_level_cap_example():
 
 
 def test_radius_zero_gradient():
-    tr = compute_radius(np.array([1.0, 1.0]), np.zeros(2), False, 0.5, 1.0)
+    tr = compute_radius(np.array([1.0, 1.0]), np.zeros(2), 1.0, False, 0.5, 1.0)
     assert np.array_equal(tr.delta, np.zeros(2))
 
 
 def test_radius_rejects_nonpositive_weight():
     with pytest.raises(ValueError):
-        compute_radius(np.array([0.0, 1.0]), np.ones(2), True, np.inf, 0.0)
+        compute_radius(np.array([0.0, 1.0]), np.ones(2), 0.0, True, np.inf, 0.0)
 
 
 def test_linear_step_example():
@@ -101,7 +101,7 @@ def test_fuzz_sbound_gcp_and_decrease_lemma():
         kappa_B = rng.uniform(1.0, 4.0)
         B = HessianModel.diagonal(rng.uniform(-kappa_B, kappa_B, n), kappa_B=kappa_B)
         tau = rng.uniform(0.05, 1.0)
-        tr = compute_radius(w, g, True, np.inf, 0.0)
+        tr = compute_radius(w, np.abs(g), w.min(), True, np.inf, 0.0)
         s = taylor_step(g, tr.delta, B, tau)
         sQ = cauchy_step(g, tr.delta, B)
         # box and fractional-decrease conditions
@@ -128,7 +128,7 @@ def test_prolonged_step_cap_fuzz():
         w = rng.uniform(0.01, 3.0, n)
         delta_cap = 10.0 ** rng.uniform(-3, 2)
         p_norm = rng.uniform(0.2, 3.0)
-        tr = compute_radius(w, g, False, delta_cap, p_norm)
+        tr = compute_radius(w, np.abs(g), w.min(), False, delta_cap, p_norm)
         s = rng.uniform(-1.0, 1.0, n) * tr.delta
         assert p_norm * np.linalg.norm(s) <= 2.0 * delta_cap * (1 + 1e-12)
 
@@ -151,8 +151,9 @@ def test_taylor_step_rejects_bad_tau():
 
 def test_nan_rejected_at_component_boundaries():
     nan = float("nan")
+    w = np.array([nan, 1.0])
     with pytest.raises(ValueError):
-        compute_radius(np.array([nan, 1.0]), np.ones(2), True, np.inf, 0.0)
+        compute_radius(w, np.ones(2), w.min(), True, np.inf, 0.0)
     with pytest.raises(ValueError):
         HessianModel.zero(kappa_B=nan)
     with pytest.raises(ValueError):

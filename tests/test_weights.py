@@ -13,18 +13,24 @@ from moffo.weights import (
 )
 
 
+def _update(state, g):
+    """One schedule step, with the squares formed as the solver forms them."""
+    g = np.asarray(g, dtype=float)
+    return state.update(g, g * g)
+
+
 def test_adagrad_accumulation_example():
     st = WeightState(ADAGRAD_LIKE, mu=0.5, nu=None, varsigma=1.0, dim=1)
-    st.update(np.array([1.0]))
-    w = st.update(np.array([2.0]))
+    _update(st, np.array([1.0]))
+    w = _update(st, np.array([2.0]))
     assert w[0] == pytest.approx(np.sqrt(6.0), rel=1e-15)
 
 
 def test_maxgi_running_max_example():
     st = WeightState(MAXGI, mu=0.1, nu=0.1, varsigma=0.01, dim=1)
-    w0 = st.update(np.array([1.0]))
-    w1 = st.update(np.array([-3.0]))
-    w2 = st.update(np.array([2.0]))
+    w0 = _update(st, np.array([1.0]))
+    w1 = _update(st, np.array([-3.0]))
+    w2 = _update(st, np.array([2.0]))
     assert st.acc[0] == 3.0
     assert w0[0] == pytest.approx(1.0 * 1.0 ** 0.1)
     assert w1[0] == pytest.approx(3.0 * 2.0 ** 0.1)
@@ -34,11 +40,11 @@ def test_maxgi_running_max_example():
 def test_zero_gradients_forever():
     st = WeightState(MAXGI, mu=0.3, nu=0.2, varsigma=0.04, dim=2)
     for i in range(5):
-        w = st.update(np.zeros(2))
+        w = _update(st, np.zeros(2))
         assert np.allclose(w, 0.04 * (i + 1.0) ** 0.2)
     st2 = WeightState(ADAGRAD_LIKE, mu=0.3, nu=None, varsigma=0.04, dim=2)
     for _ in range(5):
-        w = st2.update(np.zeros(2))
+        w = _update(st2, np.zeros(2))
         assert np.allclose(w, 0.04 ** 0.3)
 
 
@@ -53,7 +59,7 @@ def test_weights_monotone_and_floored_fuzz():
             st = WeightState(kind, mu, nu, floors, dim)
             prev = np.zeros(dim)
             for _ in range(20):
-                w = st.update(rng.standard_normal(dim) * 3.0)
+                w = _update(st, rng.standard_normal(dim) * 3.0)
                 assert np.all(w >= floors - 1e-15)
                 assert np.all(w >= prev - 1e-12)
                 prev = w
@@ -65,7 +71,7 @@ def test_maxgi_vikprop_and_viklow():
     v_prev = np.zeros(3)
     for _ in range(200):
         g = rng.standard_normal(3)
-        st.update(g)
+        _update(st, g)
         v = st.acc
         grew = v > v_prev + 1e-300
         # growth only to the current |g|; and v always dominates |g|
@@ -83,7 +89,7 @@ def test_adagrad_sandwich_bound():
     for _ in range(100):
         g = rng.standard_normal(4)
         total += float(g @ g)
-        w = st.update(g)
+        w = _update(st, g)
         assert vs ** mu - 1e-15 <= w.max() <= (vs + total) ** mu + 1e-12
 
 
@@ -140,7 +146,7 @@ def test_seed_lower_state_first_emit_bitwise():
         w0 = rng.uniform(0.02, 5.0, 4)
         g0 = rng.standard_normal(4)
         st = seed_lower_state(kind, 0.5, 0.5 if kind == MAXGI else None, 0.01, w0, g0)
-        assert np.array_equal(st.update(g0), w0)
+        assert np.array_equal(_update(st, g0), w0)
 
 
 def test_seed_lower_state_floor_monotone():
@@ -149,9 +155,9 @@ def test_seed_lower_state_floor_monotone():
         w0 = rng.uniform(0.02, 3.0, 3)
         g0 = rng.standard_normal(3)
         st = seed_lower_state(kind, 0.4, 0.3 if kind == MAXGI else None, 0.01, w0, g0)
-        w = st.update(g0)
+        w = _update(st, g0)
         for _ in range(30):
-            w_new = st.update(rng.standard_normal(3) * 2.0)
+            w_new = _update(st, rng.standard_normal(3) * 2.0)
             assert np.all(w_new >= w0 - 1e-15)
             assert np.all(w_new >= w - 1e-12)
             w = w_new
@@ -160,16 +166,16 @@ def test_seed_lower_state_floor_monotone():
 def test_seed_lower_state_floor_case_constant():
     vs = np.full(2, 0.04)
     st = seed_lower_state(ADAGRAD_LIKE, 0.5, None, vs, vs.copy(), np.zeros(2))
-    assert np.array_equal(st.update(np.zeros(2)), vs)
+    assert np.array_equal(_update(st, np.zeros(2)), vs)
     for _ in range(4):
-        w = st.update(np.zeros(2))
+        w = _update(st, np.zeros(2))
         assert np.allclose(w, 0.04 ** 0.5)
 
 
 def test_update_shape_mismatch():
     st = WeightState(ADAGRAD_LIKE, 0.5, None, 0.1, 3)
     with pytest.raises(ValueError):
-        st.update(np.zeros(2))
+        _update(st, np.zeros(2))
 
 
 def test_state_validation():
