@@ -8,9 +8,6 @@ from .hierarchy import (
     build_coherent_model,
     interior_interpolation_1d,
     linear_interpolation_1d,
-    operator_norm,
-    restriction_of,
-    sigma_min,
 )
 from .weights import (
     ADAGRAD_LIKE,
@@ -36,8 +33,6 @@ from .solver import (
     SolveResult,
     SolverConfig,
     Trace,
-    cycle_shape,
-    monitor_new_cond,
     should_recurse,
     solve,
 )

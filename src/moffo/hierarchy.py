@@ -21,44 +21,45 @@ __all__ = [
     "Level",
     "LevelHierarchy",
     "CoherentModel",
-    "restriction_of",
-    "operator_norm",
-    "sigma_min",
     "linear_interpolation_1d",
     "interior_interpolation_1d",
     "build_coherent_model",
 ]
 
-_POWER_MAX_ITER = 10_000
+_POWER_MAX_ITER = 300
 _POWER_TOL = 1e-10
 _DENSE_SVD_MAX = 64
 
 
-def _spectral_norm(P):
-    """Largest singular value of a dense matrix.
+def _power_norm(P):
+    """Largest singular value of P by power iteration, or None if it stalls.
 
-    Dense SVD is used for small matrices; otherwise power iteration on the
-    Gram matrix, seeded with the all-ones vector for determinism.  When the
-    iteration budget runs out (a clustered top spectrum converges too slowly
-    for the tolerance), the dense SVD's value is returned instead.
+    Power iteration on the Gram matrix, seeded with the all-ones vector for
+    determinism.  With d_k the change of the eigenvalue estimate and
+    rho_k = d_k / d_{k-1} its contraction, the change still to come is about
+    d_k * rho_k / (1 - rho_k); the estimate is returned once that (or d_k,
+    whichever is larger) is within _POWER_TOL of it.  A contraction of one or
+    more never stops, and None is returned after _POWER_MAX_ITER iterations,
+    which is what a clustered top spectrum gives.
     """
-    if min(P.shape) <= _DENSE_SVD_MAX:
-        return float(np.linalg.svd(P, compute_uv=False)[0])
     G = P.T @ P if P.shape[0] >= P.shape[1] else P @ P.T
     v = np.ones(G.shape[0])
     v /= vector_norm(v)
     w = np.empty_like(v)
     lam_old = 0.0
+    d_old = math.inf
     for _ in range(_POWER_MAX_ITER):
         np.matmul(G, v, out=w)
         lam = vector_norm(w)
         if lam == 0.0:
             return 0.0
         np.divide(w, lam, out=v)
-        if abs(lam - lam_old) <= _POWER_TOL * lam:
+        d = abs(lam - lam_old)
+        rho = d / d_old
+        if rho < 1.0 and d * max(1.0, rho / (1.0 - rho)) <= _POWER_TOL * lam:
             return math.sqrt(lam)
-        lam_old = lam
-    return float(np.linalg.svd(P, compute_uv=False)[0])
+        lam_old, d_old = lam, d
+    return None
 
 
 class TransferOperator:
@@ -66,8 +67,11 @@ class TransferOperator:
 
     P maps the coarse space into the fine space and must have full column
     rank.  Instances are immutable after construction; the spectral norm and
-    the smallest singular value are computed lazily and cached (the fill is
-    idempotent, so racing threads at worst duplicate work).
+    the singular values are computed lazily and cached (the fill is
+    idempotent, so racing threads at worst duplicate work).  The norm comes
+    from the dense SVD for small operators and for those on which power
+    iteration stalls, otherwise from power iteration; one SVD per operator
+    serves both that fallback and sigma_min.
     """
 
     def __init__(self, P, omega):
@@ -83,7 +87,7 @@ class TransferOperator:
         self.omega = omega
         self.P.setflags(write=False)
         self._norm = None
-        self._sigma_min = None
+        self._sv = None
 
     @property
     def n_fine(self):
@@ -105,37 +109,27 @@ class TransferOperator:
         """Apply R = omega * P^T to a fine vector."""
         return self.omega * (self.P.T @ v)
 
+    def _singular_values(self):
+        """All singular values of P in descending order, cached."""
+        if self._sv is None:
+            self._sv = np.linalg.svd(self.P, compute_uv=False)
+        return self._sv
+
     @property
     def norm(self):
         """Spectral norm of P, cached."""
         if self._norm is None:
-            self._norm = _spectral_norm(self.P)
+            norm = _power_norm(self.P) if min(self.P.shape) > _DENSE_SVD_MAX else None
+            self._norm = norm if norm is not None else float(self._singular_values()[0])
         return self._norm
 
     @property
     def sigma_min(self):
-        """Smallest singular value of P, cached; positive iff full column rank."""
-        if self._sigma_min is None:
-            self._sigma_min = float(np.linalg.svd(self.P, compute_uv=False)[-1])
-        return self._sigma_min
+        """Smallest singular value of P; positive iff full column rank."""
+        return float(self._singular_values()[-1])
 
     def __repr__(self):
         return "TransferOperator(%dx%d, omega=%g)" % (self.n_fine, self.n_coarse, self.omega)
-
-
-def restriction_of(op):
-    """Dense restriction matrix of a transfer operator."""
-    return op.restriction()
-
-
-def operator_norm(op):
-    """Spectral norm of the prolongation."""
-    return op.norm
-
-
-def sigma_min(op):
-    """Smallest singular value of the prolongation."""
-    return op.sigma_min
 
 
 def linear_interpolation_1d(n_coarse):

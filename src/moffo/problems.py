@@ -469,22 +469,27 @@ def with_minibatch(problem, batch_fraction, seed):
 
 
 def with_gaussian_noise(problem, sigma, seed):
-    """Additive Gaussian gradient noise, one fresh draw per call, per-level streams."""
+    """Additive Gaussian gradient noise, one fresh draw per call, per-level streams.
+
+    The noise is added to the given problem's own oracles, so it composes
+    with a minibatch wrapper (sampling and its cost fraction are kept).
+    """
     if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     root = problem.base if problem.base is not None else problem
+    label = "gaussian(%g,%d)" % (sigma, seed)
     levels = []
-    for l, lvl in enumerate(root.hierarchy.levels, start=1):
+    for l, lvl in enumerate(problem.hierarchy.levels, start=1):
         stream = np.random.default_rng([int(seed), 7919, l])
 
         def noisy(x, lvl=lvl, stream=stream):
             return lvl.grad(x) + sigma * stream.standard_normal(lvl.n)
 
         levels.append(Level(lvl.n, noisy, lvl.value, eval_fraction=lvl.eval_fraction))
-    hier = LevelHierarchy(levels, root.hierarchy.operators)
+    hier = LevelHierarchy(levels, problem.hierarchy.operators)
     return ProblemHierarchy(problem.name, hier, problem.x0, problem.exact_L,
                             problem.f_low, problem.dataset_size,
-                            noise="gaussian(%g,%d)" % (sigma, seed),
+                            noise=label if problem.noise == "none" else problem.noise + "+" + label,
                             sampled_grads=problem.sampled_grads,
                             dataset=problem.dataset, base=root)
 

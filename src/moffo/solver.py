@@ -35,9 +35,7 @@ __all__ = [
     "IterationRecord",
     "Trace",
     "SolveResult",
-    "cycle_shape",
     "should_recurse",
-    "monitor_new_cond",
     "solve",
 ]
 
@@ -186,7 +184,6 @@ class IterationRecord:
     w_max: float | None
     cost_cum: float
     f_diag: float | None = None
-    decrease_sum: float | None = None
 
 
 class Trace:
@@ -220,19 +217,6 @@ class SolveResult:
     ledger: CostLedger
 
 
-def cycle_shape(level, i, pre_smooth=1, post_smooth=0):
-    """Schedule within a level visit: smoothing steps around one recursion slot.
-
-    Returns "try_recursive" at the slot following pre_smooth Taylor
-    iterations, repeating with period pre_smooth + 1 + post_smooth.  The
-    lowest level never recurses.
-    """
-    if level == 1:
-        return "taylor"
-    period = pre_smooth + 1 + post_smooth
-    return "try_recursive" if i % period == pre_smooth else "taylor"
-
-
 def should_recurse(Rg, w_low, g, w, kappa_R, decrease=None):
     """Significant-progress test: the restricted linear decrease is at least
     a kappa_R fraction of the current level's.
@@ -246,30 +230,6 @@ def should_recurse(Rg, w_low, g, w, kappa_R, decrease=None):
         g = np.asarray(g, dtype=float)
         decrease = float(np.add.reduce(g * g / np.asarray(w, dtype=float)))
     return lhs >= kappa_R * decrease
-
-
-def monitor_new_cond(lower_trace, upper_g, upper_w, kappa_R, enabled=True):
-    """Count leading lower iterations whose decrease stays significant.
-
-    lower_trace is an iterable of IterationRecords (their decrease_sum is
-    used) or of plain decrease values.  With the monitor disabled the full
-    count is returned unchanged.
-    """
-    decreases = [
-        rec.decrease_sum if isinstance(rec, IterationRecord) else float(rec)
-        for rec in lower_trace
-    ]
-    if not enabled:
-        return len(decreases)
-    upper_g = np.asarray(upper_g, dtype=float)
-    upper_w = np.asarray(upper_w, dtype=float)
-    threshold = kappa_R * float(np.sum(upper_g * upper_g / upper_w))
-    count = 0
-    for d in decreases:
-        if d is None or d < threshold:
-            break
-        count += 1
-    return count
 
 
 class _TopObjective:
@@ -342,7 +302,8 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
     up_norm = op_up.norm if op_up is not None else 0.0
     eval_fraction = rt.hier.level(level).eval_fraction
     i_budget = rt.i_max[level - 1]
-    # cycle_shape's schedule, with its period read once per visit
+    # cycle schedule: pre_smooth Taylor iterations, one recursion slot, then
+    # post_smooth Taylor iterations, repeating; its period is read once per visit
     pre_smooth = cfg.pre_smooth
     period = pre_smooth + 1 + cfg.post_smooth
     diag_values, record_iterates = cfg.diag_values, cfg.record_iterates
@@ -383,7 +344,7 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
         if monitor_threshold is not None and decrease < monitor_threshold:
             rt.trace.add(IterationRecord(level, i, "taylor", gnorm, 0.0, 0.0, 0.0,
                                          w_min, float(np.maximum.reduce(w)),
-                                         rt.ledger.total(), f_diag, decrease))
+                                         rt.ledger.total(), f_diag))
             return x, i
         abs_g = np.abs(g)
         tr = compute_radius(w, abs_g, w_min, is_top, delta_cap, up_norm, scale=step_scale)
@@ -427,7 +388,7 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
         rt.trace.add(IterationRecord(level, i, kind, gnorm, step_norm,
                                      tr.delta_hat_norm, tr.delta_norm,
                                      w_min, float(np.maximum.reduce(w)),
-                                     rt.ledger.total(), f_diag, decrease))
+                                     rt.ledger.total(), f_diag))
         i += 1
 
 

@@ -3,28 +3,27 @@
 import numpy as np
 import pytest
 
+from moffo import hierarchy
 from moffo.hierarchy import (
     TransferOperator,
     build_coherent_model,
     interior_interpolation_1d,
     linear_interpolation_1d,
-    operator_norm,
-    restriction_of,
-    sigma_min,
 )
-from moffo.problems import laplacian_quadratic_1d
+from moffo.problems import build_problem, laplacian_quadratic_1d
 from moffo.solver import SolverConfig, solve
+from moffo.step import vector_norm
 
 
 def test_restriction_is_omega_p_transpose():
     op = TransferOperator([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], omega=0.5)
     expected = np.array([[0.5, 0.25, 0.0], [0.0, 0.25, 0.5]])
-    assert np.array_equal(restriction_of(op), expected)
+    assert np.array_equal(op.restriction(), expected)
 
 
 def test_restriction_identity():
     op = TransferOperator(np.eye(2), omega=1.0)
-    assert np.array_equal(restriction_of(op), np.eye(2))
+    assert np.array_equal(op.restriction(), np.eye(2))
 
 
 def test_linear_interpolation_stencil():
@@ -47,11 +46,11 @@ def test_linear_interpolation_rejects_small():
 
 def test_operator_norms_identity_and_diagonal():
     op = TransferOperator(np.eye(3), omega=1.0)
-    assert operator_norm(op) == pytest.approx(1.0)
-    assert sigma_min(op) == pytest.approx(1.0)
+    assert op.norm == pytest.approx(1.0)
+    assert op.sigma_min == pytest.approx(1.0)
     op2 = TransferOperator([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]], omega=1.0)
-    assert operator_norm(op2) == pytest.approx(2.0)
-    assert sigma_min(op2) == pytest.approx(1.0)
+    assert op2.norm == pytest.approx(2.0)
+    assert op2.sigma_min == pytest.approx(1.0)
 
 
 def test_interpolation_norm_sqrt_1_5():
@@ -59,7 +58,7 @@ def test_interpolation_norm_sqrt_1_5():
     # SVD oracle on the dense 3x2 stencil
     ref = np.linalg.svd(np.asarray(op.P), compute_uv=False)[0]
     assert ref == pytest.approx(np.sqrt(1.5), rel=1e-12)
-    assert operator_norm(op) == pytest.approx(np.sqrt(1.5), rel=1e-9)
+    assert op.norm == pytest.approx(np.sqrt(1.5), rel=1e-9)
 
 
 def test_norm_cached_and_power_iteration_path():
@@ -67,7 +66,7 @@ def test_norm_cached_and_power_iteration_path():
     P = rng.standard_normal((150, 70))  # above the dense-SVD size cut
     op = TransferOperator(P, omega=1.0)
     ref = np.linalg.svd(P, compute_uv=False)[0]
-    assert operator_norm(op) == pytest.approx(ref, rel=1e-8)
+    assert op.norm == pytest.approx(ref, rel=1e-8)
     assert op.norm is op.norm or op.norm == op.norm  # cached value stable
 
 
@@ -79,6 +78,59 @@ def test_norm_falls_back_to_svd_when_power_iteration_stalls():
     assert res.iterations == 20
     op = problem.hierarchy.op(2)
     assert abs(op.norm - np.linalg.svd(op.P, compute_uv=False)[0]) <= 1e-12
+
+
+def test_lap255_norm_matches_svd_and_closed_form():
+    # P^T P is tridiag(0.25, 1.5, 0.25) of order 127, whose top eigenvalue is
+    # 1.5 + 0.5 cos(pi/128); power iteration used to stop 4e-8 short of it.
+    op = laplacian_quadratic_1d(n_fine=255, levels=3).hierarchy.op(3)
+    assert op.P.shape == (255, 127)
+    for ref in (np.linalg.svd(op.P, compute_uv=False)[0],
+                np.sqrt(1.5 + 0.5 * np.cos(np.pi / 128))):
+        assert abs(op.norm - ref) <= 1e-15 * ref
+
+
+def test_resnet_norms_bit_equal_to_power_iteration():
+    # both operators converge fast (contraction about 0.2), where the stop
+    # rule ends at the same iteration as a plain successive-difference test
+    hier = build_problem("resnet").hierarchy
+    assert [hier.op(l).P.shape for l in (2, 3)] == [(248, 164), (416, 248)]
+    assert hier.op(2).norm == 1.9999999999797942
+    assert hier.op(3).norm == 1.999999999980255
+
+
+@pytest.mark.parametrize("n_coarse", [127, 511])
+def test_power_iteration_stops_at_the_cap(monkeypatch, n_coarse):
+    calls = []
+
+    def counting_norm(v):
+        calls.append(1)
+        return vector_norm(v)
+
+    monkeypatch.setattr(hierarchy, "vector_norm", counting_norm)
+    op = interior_interpolation_1d(n_coarse)
+    norm = op.norm
+    # one call normalizes the start vector, then one per iteration
+    assert 1 < len(calls) <= 1 + hierarchy._POWER_MAX_ITER
+    assert abs(norm - np.linalg.svd(op.P, compute_uv=False)[0]) <= 1e-15 * norm
+
+
+@pytest.mark.parametrize("make", [
+    lambda: linear_interpolation_1d(9),
+    lambda: interior_interpolation_1d(127),
+    lambda: TransferOperator(np.random.default_rng(0).standard_normal((150, 70)), 1.0),
+], ids=["dense", "power-stalls", "power-converges"])
+def test_norm_and_sigma_min_share_one_svd(monkeypatch, make):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    op = make()
+    norm = op.norm
+    smin = op.sigma_min
+    assert (op.norm, op.sigma_min) == (norm, smin)
+    assert len(calls) == 1
+    assert 0.0 < smin <= norm
 
 
 def test_coherent_model_telescoping():
@@ -124,12 +176,12 @@ def test_linear_coherence_identity():
 def test_rp_equals_omega_ptp_dense_oracle():
     for n_c in (2, 5, 16):
         op = linear_interpolation_1d(n_c)
-        lhs = restriction_of(op) @ op.P
+        lhs = op.restriction() @ op.P
         rhs = op.omega * (op.P.T @ op.P)
         assert np.allclose(lhs, rhs, atol=1e-14)
     for n_c in (3, 15):
         op = interior_interpolation_1d(n_c)
-        assert np.allclose(restriction_of(op) @ op.P, op.omega * op.P.T @ op.P, atol=1e-14)
+        assert np.allclose(op.restriction() @ op.P, op.omega * op.P.T @ op.P, atol=1e-14)
 
 
 def test_restriction_of_zero_is_zero():
@@ -140,7 +192,7 @@ def test_restriction_of_zero_is_zero():
 def test_sigma_min_positive_for_builtins():
     for op in (linear_interpolation_1d(2), linear_interpolation_1d(9),
                interior_interpolation_1d(3), interior_interpolation_1d(31)):
-        assert sigma_min(op) > 0.0
+        assert op.sigma_min > 0.0
 
 
 def test_interior_interpolation_shapes():

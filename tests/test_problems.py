@@ -216,6 +216,19 @@ def test_gaussian_noise_wrapper():
     assert np.array_equal(noisy.exact_grad(1, x), problem.exact_grad(1, x))
 
 
+def test_gaussian_noise_keeps_minibatch_sampling():
+    # the noise wraps the sampled levels it is given, not the exact ones
+    sampled = with_minibatch(laplacian_quadratic_1d(n_fine=31, levels=3), 0.25, 0)
+    both = with_gaussian_noise(
+        with_minibatch(laplacian_quadratic_1d(n_fine=31, levels=3), 0.25, 0), 0.0, 0)
+    assert [lvl.eval_fraction for lvl in both.hierarchy.levels] == [0.25] * 3
+    x = np.random.default_rng(4).standard_normal(31)
+    g = both.hierarchy.level(3).grad(x)
+    assert np.array_equal(g, sampled.hierarchy.level(3).grad(x))
+    assert not np.array_equal(g, sampled.exact_grad(3, x))
+    assert both.noise == "minibatch(0.25,0)+gaussian(0,0)"
+
+
 def test_dataset_csv_roundtrip(tmp_path):
     problem = resnet_regression(ResNetSpec(width=3, k_coarse=3, levels=1,
                                            n_in=2, n_out=2), n_samples=8, seed=0)

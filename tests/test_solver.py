@@ -14,8 +14,6 @@ from moffo.solver import (
     CostLedger,
     NonFiniteGradientError,
     SolverConfig,
-    cycle_shape,
-    monitor_new_cond,
     should_recurse,
     solve,
 )
@@ -73,11 +71,23 @@ def test_cost_ledger_v_cycle_arithmetic():
 
 
 def test_cycle_shape_patterns():
-    assert [cycle_shape(2, i, 1, 0) for i in range(4)] == \
-        ["taylor", "try_recursive", "taylor", "try_recursive"]
-    assert all(cycle_shape(1, i, 1, 0) == "taylor" for i in range(6))
-    assert [cycle_shape(3, i, 2, 1) for i in range(8)] == \
-        ["taylor", "taylor", "try_recursive", "taylor"] * 2
+    # The cycle schedule, read off the trace's kind column.  With kappa_R this
+    # small every scheduled recursion attempt is accepted, so "recursive"
+    # marks exactly the slot after pre_smooth Taylor iterations, repeating with
+    # period pre_smooth + 1 + post_smooth; the lowest level never recurses.
+    for pre, post, top in ((1, 0, ["taylor", "recursive"] * 2),
+                           (2, 1, ["taylor", "taylor", "recursive", "taylor"] * 2)):
+        res = solve(laplacian_quadratic_1d(n_fine=31, levels=3),
+                    SolverConfig(pre_smooth=pre, post_smooth=post, kappa_R=1e-6,
+                                 eps_top=1e-4, i_max_top=60))
+        assert [rec.kind for rec in res.trace.top_records()[:len(top)]] == top
+        period = pre + 1 + post
+        steps = [rec for rec in res.trace.records if rec.delta_norm > 0.0]  # no terminal ones
+        for level in (2, 3):
+            kinds = [rec.kind for rec in steps if rec.level == level]
+            assert kinds == ["recursive" if rec.index % period == pre else "taylor"
+                             for rec in steps if rec.level == level]
+        assert all(rec.kind == "taylor" for rec in res.trace.records if rec.level == 1)
 
 
 def test_should_recurse_examples():
@@ -87,15 +97,6 @@ def test_should_recurse_examples():
                               np.array([1.0, 1.0]), np.ones(2), 0.5)
     assert not should_recurse(np.array([1e-8]), np.ones(1),
                               np.array([1.0, 1.0]), np.ones(2), 0.999)
-
-
-def test_monitor_new_cond_counts():
-    upper_g = np.array([1.0, 1.0])
-    upper_w = np.ones(2)
-    # threshold = kappa_R * 2
-    assert monitor_new_cond([5.0, 3.0, 0.1, 4.0], upper_g, upper_w, 0.5) == 2
-    assert monitor_new_cond([0.0, 9.0], upper_g, upper_w, 0.5) == 0
-    assert monitor_new_cond([0.0, 9.0], upper_g, upper_w, 0.5, enabled=False) == 2
 
 
 def test_multilevel_laplacian_run_invariants():
