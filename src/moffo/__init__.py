@@ -43,7 +43,6 @@ from .bounds import (
     check_adagrad_rate,
     check_divergent_rate,
     divergent_thresholds,
-    estimate_lipschitz,
     kappa_star,
     lambert_bound_check,
     lambert_w_minus1,

@@ -26,7 +26,6 @@ __all__ = [
     "RateReport",
     "check_adagrad_rate",
     "check_divergent_rate",
-    "estimate_lipschitz",
     "theory_constants",
 ]
 
@@ -151,27 +150,18 @@ def kappa_star(mu, varsigma, n, Gamma0, L, beta1r, beta2r):
 
 
 def divergent_thresholds(vartheta, mu, nu, varsigma_min, n, alpha, L,
-                         beta1r, beta2r, Gamma0, a_func=None):
+                         beta1r, beta2r, Gamma0):
     """Burn-in indices and rate constant for the divergent weight family.
 
     Returns (i_theta, i_sigma, kappa_diamond).  vartheta must stay strictly
-    inside (0, beta1r); a_func(i) defaults to the constant 1 appropriate for
-    the running-max update rule.
+    inside (0, beta1r); the sequence a_i is the constant 1 of the running-max
+    update rule, so its burn-in sum of squares is the burn-in count.
     """
     if not (0.0 < vartheta and vartheta < beta1r - 1e-9 * beta1r):
         raise ValueError("vartheta must lie strictly inside (0, beta1r)")
     rho = beta2r + 0.5 * alpha ** 2 * L
     i_theta = (rho / (varsigma_min * (beta1r - vartheta))) ** (1.0 / nu) - 1.0
-    count = max(0, math.floor(i_theta) + 1)
-    if a_func is None:
-        a_sum = float(count)
-    elif count <= 10 ** 6:
-        a_sum = sum(a_func(k) ** 2 for k in range(count))
-    else:
-        a0 = a_func(0)
-        if any(a_func(k) != a0 for k in range(100)):
-            raise ValueError("non-constant a_func with a huge burn-in is not supported")
-        a_sum = float(count) * a0 ** 2
+    a_sum = float(max(0, math.floor(i_theta) + 1))
     kappa_diamond = (2.0 / vartheta) * (Gamma0 + n * rho * a_sum)
     base = 2.0 * (i_theta + 1.0) * kappa_diamond / varsigma_min
     try:
@@ -238,37 +228,6 @@ def check_divergent_rate(trace, thresholds, mu):
     return RateReport("rate_divs", status, min_ratio, "min-ratio statistic")
 
 
-def estimate_lipschitz(problem, n_pairs=1000, seed=0, radius=1.0, safety=2.0):
-    """Gradient Lipschitz constant: exact when the problem knows it, else sampled.
-
-    Sampling draws point pairs around each level's base point and returns
-    the largest difference quotient of exact gradients times a safety
-    factor.
-    """
-    exact = getattr(problem, "exact_L", None)
-    if exact is not None:
-        return float(exact)
-    hier = problem.hierarchy
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    x0 = np.asarray(problem.x0, dtype=float)
-    for l in range(1, hier.r + 1):
-        n = hier.dim(l)
-        base = x0 if l == hier.r else np.zeros(n)
-        for _ in range(max(1, n_pairs // hier.r)):
-            a = base + radius * rng.standard_normal(n)
-            b = base + radius * rng.standard_normal(n)
-            dist = float(np.linalg.norm(a - b))
-            if dist == 0.0:
-                continue
-            if hasattr(problem, "exact_grad"):
-                ga, gb = problem.exact_grad(l, a), problem.exact_grad(l, b)
-            else:
-                ga, gb = hier.level(l).grad(a), hier.level(l).grad(b)
-            worst = max(worst, float(np.linalg.norm(ga - gb)) / dist)
-    return safety * worst
-
-
 @dataclass
 class TheoryConstants:
     """Everything the rate checks need, bundled for reports."""
@@ -303,17 +262,16 @@ class TheoryConstants:
         return d
 
 
-def theory_constants(problem, config, weight_kind=None, vartheta_fraction=0.5):
+def theory_constants(problem, config):
     """Evaluate all constants for a problem/config pair.
 
     Needs the problem's exact Lipschitz constant and lower bound.  For the
     AdaGrad-like family kappa* (and psi when mu = 1/2) is filled in; for
-    the divergent family the burn-in thresholds, with vartheta set to the
-    given fraction of the top-level beta1.
+    the divergent family the burn-in thresholds, with vartheta set to half
+    the top-level beta1.
     """
     hier = problem.hierarchy
     r = hier.r
-    kind = weight_kind or config.weight_kind
     L = problem.exact_L
     f_low = problem.f_low
     if L is None or f_low is None:
@@ -332,13 +290,13 @@ def theory_constants(problem, config, weight_kind=None, vartheta_fraction=0.5):
         alpha=config.alpha, omega=omega, mu=config.mu, nu=config.nu_resolved(),
         i_max=budgets, sigma_min=sig, beta1=beta1, beta2=beta2,
     )
-    if kind == "adagrad_like":
+    if config.weight_kind == "adagrad_like":
         tc.kappa_star = kappa_star(config.mu, varsigma_min, tc.n, Gamma0, L,
                                    beta1[-1], beta2[-1])
         if config.mu == 0.5:
             tc.psi = psi_constant(varsigma_min, tc.n, L, beta1[-1], beta2[-1])
     else:
-        vartheta = vartheta_fraction * beta1[-1]
+        vartheta = 0.5 * beta1[-1]
         tc.i_theta, tc.i_sigma, tc.kappa_diamond = divergent_thresholds(
             vartheta, config.mu, tc.nu, varsigma_min, tc.n, config.alpha, L,
             beta1[-1], beta2[-1], Gamma0)

@@ -81,8 +81,8 @@ class TransferOperator:
         if not np.isfinite(P).all():
             raise ValueError("prolongation contains non-finite entries")
         omega = float(omega)
-        if omega <= 0.0:
-            raise ValueError("omega must be positive, got %g" % omega)
+        if not 0.0 < omega < math.inf:
+            raise ValueError("omega must be positive and finite, got %g" % omega)
         self.P = P
         self.omega = omega
         self.P.setflags(write=False)
@@ -176,14 +176,18 @@ class Level:
     grad(x) -> gradient vector; may be stochastic (fresh draw per call).
     value(x) -> float, optional, used for diagnostics only: solver control
     flow never reads it.  eval_fraction is the cost, in full-dataset gradient
-    units at this level, charged per grad call.
+    units at this level, charged per grad call; it must be finite and >= 0.
     """
 
     def __init__(self, n, grad, value=None, eval_fraction=1.0):
+        eval_fraction = float(eval_fraction)
+        if not 0.0 <= eval_fraction < math.inf:
+            raise ValueError("eval_fraction must be finite and nonnegative, got %r"
+                             % eval_fraction)
         self.n = int(n)
         self.grad = grad
         self.value = value
-        self.eval_fraction = float(eval_fraction)
+        self.eval_fraction = eval_fraction
 
 
 class LevelHierarchy:

@@ -9,7 +9,6 @@ per-level seeded streams, one draw per call.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -34,8 +33,6 @@ __all__ = [
     "with_minibatch",
     "with_gaussian_noise",
     "finite_difference_check",
-    "dump_dataset",
-    "load_dataset",
     "build_problem",
     "list_problems",
     "PROBLEM_NAMES",
@@ -69,15 +66,14 @@ class ProblemHierarchy:
     def r(self):
         return self.hierarchy.r
 
+    @property
+    def root(self):
+        """The un-noised problem: base for a wrapped problem, else itself."""
+        return self.base if self.base is not None else self
+
     def exact_grad(self, level, x):
         """Deterministic full gradient at a level, bypassing any noise wrapper."""
-        root = self.base if self.base is not None else self
-        return root.hierarchy.level(level).grad(np.asarray(x, dtype=float))
-
-    def exact_value(self, level, x):
-        root = self.base if self.base is not None else self
-        fn = root.hierarchy.level(level).value
-        return None if fn is None else float(fn(np.asarray(x, dtype=float)))
+        return self.root.hierarchy.level(level).grad(np.asarray(x, dtype=float))
 
     def single_level(self):
         """The top level alone as a one-level problem: the single-level baseline.
@@ -448,7 +444,7 @@ def with_minibatch(problem, batch_fraction, seed):
         raise ValueError("batch fraction must lie in (0, 1]")
     nd = problem.dataset_size
     nb = int(math.ceil(batch_fraction * nd))
-    root = problem.base if problem.base is not None else problem
+    root = problem.root
     levels = []
     for l, (lvl, sgrad) in enumerate(zip(root.hierarchy.levels, problem.sampled_grads), start=1):
         if nb == nd:
@@ -476,7 +472,6 @@ def with_gaussian_noise(problem, sigma, seed):
     """
     if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
-    root = problem.base if problem.base is not None else problem
     label = "gaussian(%g,%d)" % (sigma, seed)
     levels = []
     for l, lvl in enumerate(problem.hierarchy.levels, start=1):
@@ -491,7 +486,7 @@ def with_gaussian_noise(problem, sigma, seed):
                             problem.f_low, problem.dataset_size,
                             noise=label if problem.noise == "none" else problem.noise + "+" + label,
                             sampled_grads=problem.sampled_grads,
-                            dataset=problem.dataset, base=root)
+                            dataset=problem.dataset, base=problem.root)
 
 
 def finite_difference_check(problem, level=None, x=None, h=1e-6, seed=0):
@@ -502,7 +497,7 @@ def finite_difference_check(problem, level=None, x=None, h=1e-6, seed=0):
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    root = problem.base if problem.base is not None else problem
+    root = problem.root
     hier = root.hierarchy
     level = hier.r if level is None else level
     lvl = hier.level(level)
@@ -528,31 +523,6 @@ def finite_difference_check(problem, level=None, x=None, h=1e-6, seed=0):
             fd = (lvl.value(x + h * d) - lvl.value(x - h * d)) / (2.0 * h)
             worst = max(worst, abs(fd - float(g @ d)) / scale)
     return worst
-
-
-def dump_dataset(problem, path):
-    """Write a sum-structured problem's dataset as CSV: id, features, targets."""
-    if problem.dataset is None:
-        raise ValueError("problem %r carries no dataset" % problem.name)
-    Y, C = problem.dataset
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + ["f%d" % j for j in range(Y.shape[1])]
-                        + ["t%d" % j for j in range(C.shape[1])])
-        for s in range(Y.shape[0]):
-            writer.writerow([s] + ["%.17g" % v for v in Y[s]] + ["%.17g" % v for v in C[s]])
-
-
-def load_dataset(path):
-    """Read a dataset CSV back into (features, targets) arrays."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        nf = sum(1 for c in header if c.startswith("f"))
-        nt = sum(1 for c in header if c.startswith("t"))
-        rows = [list(map(float, row[1:])) for row in reader]
-    data = np.asarray(rows)
-    return data[:, :nf], data[:, nf: nf + nt]
 
 
 _BUILDERS = {

@@ -81,7 +81,6 @@ class SolverConfig:
     strict_descent_monitoring: bool = False
     diag_values: bool = False
     record_iterates: bool = False
-    debug_checks: bool = True
 
     def validate(self, r):
         # Range tests are written so that NaN fails them.
@@ -307,7 +306,7 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
     pre_smooth = cfg.pre_smooth
     period = pre_smooth + 1 + cfg.post_smooth
     diag_values, record_iterates = cfg.diag_values, cfg.record_iterates
-    debug_checks, step_scale, tau = cfg.debug_checks, cfg.step_scale, cfg.tau
+    step_scale, tau = cfg.step_scale, cfg.tau
     x0 = np.asarray(x0, dtype=float)
     x = x0.copy()
     x_prev = None
@@ -360,7 +359,7 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
         # Step 4: Taylor step.
         if s is None:
             s = taylor_step(g, tr.delta, rt.B, tau)
-            if debug_checks and decrease > 0.0:
+            if decrease > 0.0:
                 # Cap-aware form of the linear-decrease guarantee: the plain
                 # bound is provable only for an uncapped unit-scale radius,
                 # which is the regime the convergence proofs rely on.
@@ -373,14 +372,13 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
                     raise InvariantError("linear decrease bound violated at a Taylor iteration")
 
         step_norm = vector_norm(s)
-        if debug_checks:
-            if not step_norm <= cfg.alpha * tr.delta_hat_norm * (1.0 + _ASSERT_RTOL) + 1e-300:
-                raise InvariantError("step norm exceeds alpha * ||D(w)|g||")
-            if level < r:
-                cap_mult = 2.0 if kind == "taylor" else 2.0 * cfg.alpha
-                if not (vector_norm(op_up.prolong(s))
-                        <= cap_mult * delta_cap * (1.0 + _ASSERT_RTOL)):
-                    raise InvariantError("prolonged step exceeds budget")
+        if not step_norm <= cfg.alpha * tr.delta_hat_norm * (1.0 + _ASSERT_RTOL) + 1e-300:
+            raise InvariantError("step norm exceeds alpha * ||D(w)|g||")
+        if level < r:
+            cap_mult = 2.0 if kind == "taylor" else 2.0 * cfg.alpha
+            if not (vector_norm(op_up.prolong(s))
+                    <= cap_mult * delta_cap * (1.0 + _ASSERT_RTOL)):
+                raise InvariantError("prolonged step exceeds budget")
 
         # Step 5: update.
         x_prev = x
@@ -419,12 +417,11 @@ def _try_recursive(rt, level, op_down, x, g, w, w_min, tr, decrease):
     threshold = cfg.kappa_R * decrease if cfg.strict_descent_monitoring else None
     x_low, completed = _run_level(rt, level - 1, model, x_low0, eps_low, delta_low,
                                   state, monitor_threshold=threshold)
-    if cfg.debug_checks:
-        if cfg.lower_eps_factor < 1.0 and not completed >= 1:
-            raise InvariantError("no iteration completed at the lower level")
-        lhs = vector_norm(np.abs(Rg) / w_low)
-        if not lhs <= cfg.alpha * delta_norm / op_down.norm * (1.0 + _ASSERT_RTOL):
-            raise InvariantError("lower radius budget condition violated")
+    if cfg.lower_eps_factor < 1.0 and not completed >= 1:
+        raise InvariantError("no iteration completed at the lower level")
+    lhs = vector_norm(np.abs(Rg) / w_low)
+    if not lhs <= cfg.alpha * delta_norm / op_down.norm * (1.0 + _ASSERT_RTOL):
+        raise InvariantError("lower radius budget condition violated")
     return op_down.prolong(x_low - x_low0)
 
 

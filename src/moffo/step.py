@@ -22,7 +22,6 @@ __all__ = [
     "linear_step",
     "cauchy_step",
     "taylor_step",
-    "taylor_decrease_bound",
     "vector_norm",
 ]
 
@@ -48,21 +47,20 @@ def vector_norm(v):
 
 @dataclass(slots=True)
 class TrustRegion:
-    """Componentwise radius delta, its uncapped version delta_hat, level cap,
-    and the Euclidean norms of both radii."""
+    """Componentwise radius delta, its uncapped version delta_hat, and the
+    Euclidean norms of both radii."""
 
     delta_hat: np.ndarray
     delta: np.ndarray
-    cap: float
     delta_hat_norm: float
     delta_norm: float
 
 
 class HessianModel:
-    """Symmetric Hessian approximation with a spectral bound kappa_B >= 1."""
+    """Zero or diagonal Hessian approximation with a spectral bound kappa_B >= 1."""
 
     def __init__(self, kind, data=None, kappa_B=1.0):
-        if kind not in ("zero", "diagonal", "explicit"):
+        if kind not in ("zero", "diagonal"):
             raise ValueError("unknown Hessian kind %r" % kind)
         if not kappa_B >= 1.0:
             raise ValueError("kappa_B must be >= 1")
@@ -70,20 +68,11 @@ class HessianModel:
         self.kappa_B = float(kappa_B)
         if kind == "zero":
             self.data = None
-        elif kind == "diagonal":
+        else:
             d = np.asarray(data, dtype=float)
             if np.max(np.abs(d), initial=0.0) > self.kappa_B * (1.0 + _SLACK):
                 raise ValueError("diagonal exceeds kappa_B bound")
             self.data = d
-        else:
-            M = np.asarray(data, dtype=float)
-            if M.shape[0] != M.shape[1] or not np.allclose(M, M.T, atol=1e-12):
-                raise ValueError("explicit Hessian must be square symmetric")
-            if M.shape[0] > 512:
-                raise ValueError("explicit Hessians larger than 512x512 not supported")
-            if np.linalg.norm(M, 2) > self.kappa_B * (1.0 + 1e-9):
-                raise ValueError("matrix norm exceeds kappa_B bound")
-            self.data = M
 
     @classmethod
     def zero(cls, kappa_B=1.0):
@@ -96,19 +85,10 @@ class HessianModel:
             kappa_B = max(1.0, float(np.max(np.abs(d), initial=0.0)))
         return cls("diagonal", d, kappa_B=kappa_B)
 
-    @classmethod
-    def explicit(cls, M, kappa_B=None):
-        M = np.asarray(M, dtype=float)
-        if kappa_B is None:
-            kappa_B = max(1.0, float(np.linalg.norm(M, 2)))
-        return cls("explicit", M, kappa_B=kappa_B)
-
     def matvec(self, s):
         if self.kind == "zero":
             return np.zeros_like(s)
-        if self.kind == "diagonal":
-            return self.data * s
-        return self.data @ s
+        return self.data * s
 
     def quad(self, s):
         """s^T B s."""
@@ -132,15 +112,15 @@ def compute_radius(w, abs_g, w_min, is_top, delta, P_up_norm, scale=1.0):
     delta_hat = scale * abs_g / w
     nd = vector_norm(delta_hat)
     if is_top:
-        return TrustRegion(delta_hat, delta_hat, np.inf, nd, nd)
+        return TrustRegion(delta_hat, delta_hat, nd, nd)
     if not delta > 0.0:
         raise ValueError("lower-level budget delta must be positive")
     factor = min(2.0 * delta / (P_up_norm * nd), 1.0) if nd > 0.0 else 1.0
     if factor == 1.0:
         # 1.0 * delta_hat is exact, so the uncapped radius and its norm serve.
-        return TrustRegion(delta_hat, delta_hat, float(delta), nd, nd)
+        return TrustRegion(delta_hat, delta_hat, nd, nd)
     capped = factor * delta_hat
-    return TrustRegion(delta_hat, capped, float(delta), nd, vector_norm(capped))
+    return TrustRegion(delta_hat, capped, nd, vector_norm(capped))
 
 
 def linear_step(g, delta):
@@ -159,15 +139,13 @@ def cauchy_step(g, delta, B):
     return gamma * sL
 
 
-def taylor_step(g, delta, B, tau, refine=False):
+def taylor_step(g, delta, B, tau):
     """Step inside the box achieving at least a tau fraction of the Cauchy decrease.
 
-    The default step is the Cauchy point itself, which meets the decrease
-    condition with equality for any tau <= 1.  With the zero model the
-    Cauchy factor is exactly 1 and the quadratic term exactly 0, so the step
-    is the linear step and its model value is g^T s.  With refine=True and a
-    nonzero model a single projected diagonal-Newton sweep is tried and kept
-    only if it still meets the condition.  Violations of the box or decrease
+    The step is the Cauchy point itself, which meets the decrease condition
+    with equality for any tau <= 1.  With the zero model the Cauchy factor
+    is exactly 1 and the quadratic term exactly 0, so the step is the linear
+    step and its model value is g^T s.  Violations of the box or decrease
     conditions indicate an internal bug and raise InvariantError.
     """
     if not 0.0 < tau <= 1.0:
@@ -176,29 +154,13 @@ def taylor_step(g, delta, B, tau, refine=False):
     delta = np.asarray(delta, dtype=float)
     if B.kind == "zero":
         s = linear_step(g, delta)
-        mQ = m = float(g @ s)
+        m = float(g @ s)
     else:
         s = cauchy_step(g, delta, B)
-        mQ = m = B.model(g, s)
-        if refine:
-            d = B.data if B.kind == "diagonal" else np.diag(B.data)
-            cand = np.where(d > 0.0, -g / np.where(d > 0.0, d, 1.0), s)
-            cand = np.clip(cand, -delta, delta)
-            m_cand = B.model(g, cand)
-            if m_cand <= tau * mQ:
-                s, m = cand, m_cand
+        m = B.model(g, s)
     if not np.logical_and.reduce(np.abs(s) <= delta * (1.0 + _SLACK) + _SLACK):
         raise InvariantError("step left the trust region")
-    if not m <= tau * mQ + _SLACK * (1.0 + abs(mQ)):
+    if not m <= tau * m + _SLACK * (1.0 + abs(m)):
         raise InvariantError("decrease condition violated")
     return s
 
-
-def taylor_decrease_bound(g, w, delta_norm, tau, varsigma_min, kappa_B):
-    """Upper bound on g^T s guaranteed for any admissible Taylor step."""
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return (
-        -(tau * varsigma_min / (2.0 * kappa_B)) * float(np.sum(g * g / w))
-        + 0.5 * kappa_B * delta_norm ** 2
-    )

@@ -10,13 +10,12 @@ from moffo.bounds import (
     check_adagrad_rate,
     check_divergent_rate,
     divergent_thresholds,
-    estimate_lipschitz,
     kappa_star,
     lambert_bound_check,
     lambert_w_minus1,
     psi_constant,
 )
-from moffo.problems import laplacian_quadratic_1d, quadratic_diag
+from moffo.problems import laplacian_quadratic_1d
 from moffo.solver import Trace, IterationRecord
 
 
@@ -192,10 +191,6 @@ def test_check_divergent_rate_synthetic():
     assert inf_case.status == "inconclusive"
 
 
-def test_estimate_lipschitz_quadratic_exact():
-    assert estimate_lipschitz(quadratic_diag()) == 2.0
-
-
 def test_laplacian_lipschitz_matches_eig_oracle():
     problem = laplacian_quadratic_1d(n_fine=3, levels=1)
     h = 0.25
@@ -203,13 +198,3 @@ def test_laplacian_lipschitz_matches_eig_oracle():
     lam_max = np.linalg.eigvalsh(A)[-1]
     assert problem.exact_L == pytest.approx(lam_max, rel=1e-12)
     assert problem.exact_L == pytest.approx(16.0 * (2.0 + math.sqrt(2.0)), rel=1e-12)
-
-
-def test_estimate_lipschitz_sampling_lower_bounds_quotient():
-    problem = laplacian_quadratic_1d(n_fine=7, levels=1)
-    exact = problem.exact_L
-    problem.exact_L = None
-    est = estimate_lipschitz(problem, n_pairs=300, seed=4)
-    problem.exact_L = exact
-    # random-direction quotients sit below L; the safety factor compensates
-    assert 0.5 * exact <= est <= 2.0 * exact * (1 + 1e-12)

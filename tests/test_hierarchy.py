@@ -5,6 +5,7 @@ import pytest
 
 from moffo import hierarchy
 from moffo.hierarchy import (
+    Level,
     TransferOperator,
     build_coherent_model,
     interior_interpolation_1d,
@@ -211,6 +212,18 @@ def test_coherence_defect_zero_for_derived_restriction():
 
 def test_operator_validation():
     with pytest.raises(ValueError):
-        TransferOperator(np.eye(2), omega=0.0)
-    with pytest.raises(ValueError):
         TransferOperator(np.ones(3), omega=1.0)
+
+
+@pytest.mark.parametrize("omega", [float("nan"), float("inf"), 0.0, -1.0])
+def test_operator_rejects_bad_omega(omega):
+    with pytest.raises(ValueError, match="omega"):
+        TransferOperator(np.eye(2), omega)
+
+
+@pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -1.0])
+def test_level_rejects_bad_eval_fraction_before_any_oracle_call(fraction):
+    calls = []
+    with pytest.raises(ValueError, match="eval_fraction .*%r" % fraction):
+        Level(2, lambda x: calls.append(1) or x.copy(), eval_fraction=fraction)
+    assert calls == []

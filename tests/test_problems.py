@@ -9,11 +9,9 @@ from moffo.problems import (
     ResNetSpec,
     build_depth_prolongation,
     build_problem,
-    dump_dataset,
     finite_difference_check,
     laplacian_quadratic_1d,
     list_problems,
-    load_dataset,
     nonconvex_chain_1d,
     quadratic_diag,
     resnet_regression,
@@ -41,7 +39,7 @@ def test_laplacian_gradient_zero_at_solution():
     x_star = _tridiag_laplacian_solve(b, h)
     assert np.linalg.norm(problem.exact_grad(2, x_star)) <= 1e-10
     # reported lower bound matches the solve
-    assert problem.f_low == pytest.approx(problem.exact_value(2, x_star), abs=1e-10)
+    assert problem.f_low == pytest.approx(problem.hierarchy.level(2).value(x_star), abs=1e-10)
 
 
 def test_laplacian_dims_and_validation():
@@ -70,7 +68,7 @@ def test_chain_bounded_below_certificate():
     rng = np.random.default_rng(5)
     for _ in range(200):
         u = 3.0 * rng.standard_normal(31)
-        assert problem.exact_value(2, u) >= problem.f_low - 1e-12
+        assert problem.hierarchy.level(2).value(u) >= problem.f_low - 1e-12
 
 
 def test_chain_coarse_minimizer_helps_fine():
@@ -114,7 +112,7 @@ def test_resnet_dead_network_loss():
     problem = resnet_regression(spec, n_samples=16, seed=3)
     Y, C = problem.dataset
     x = np.zeros(problem.hierarchy.dim(1))
-    val = problem.exact_value(1, x)
+    val = problem.hierarchy.level(1).value(x)
     assert val == pytest.approx(float(np.mean(np.sum(C * C, axis=1))), rel=1e-12)
     g = problem.exact_grad(1, x)
     # layer blocks see zero states, so their weight gradients vanish
@@ -229,14 +227,13 @@ def test_gaussian_noise_keeps_minibatch_sampling():
     assert both.noise == "minibatch(0.25,0)+gaussian(0,0)"
 
 
-def test_dataset_csv_roundtrip(tmp_path):
-    problem = resnet_regression(ResNetSpec(width=3, k_coarse=3, levels=1,
-                                           n_in=2, n_out=2), n_samples=8, seed=0)
-    path = tmp_path / "data.csv"
-    dump_dataset(problem, path)
-    Y, C = load_dataset(path)
-    assert np.array_equal(Y, problem.dataset[0])
-    assert np.array_equal(C, problem.dataset[1])
+def test_root_is_the_unwrapped_problem():
+    problem = laplacian_quadratic_1d(n_fine=31, levels=2)
+    assert problem.root is problem
+    sampled = with_minibatch(problem, 0.25, 0)
+    assert sampled.root is problem
+    assert with_gaussian_noise(sampled, 0.1, 0).root is problem
+    assert with_gaussian_noise(problem, 0.1, 0).root is problem
 
 
 def test_registry():

@@ -11,7 +11,6 @@ from moffo.step import (
     compute_radius,
     linear_step,
     taylor_step,
-    taylor_decrease_bound,
 )
 from moffo.weights import ADAGRAD_LIKE, WeightState, as_floor_vector
 
@@ -61,7 +60,7 @@ def test_cauchy_step_examples():
     g = np.array([1.0, -2.0])
     delta = np.abs(g)  # unit weights
     # |g^T sL| = 5 = sL^T B sL, so gamma = 1 and the Cauchy point is sL itself
-    sQ = cauchy_step(g, delta, HessianModel.explicit(np.eye(2), kappa_B=1.0))
+    sQ = cauchy_step(g, delta, HessianModel.diagonal([1.0, 1.0], kappa_B=1.0))
     assert np.allclose(sQ, [-1.0, 2.0])
     sQ0 = cauchy_step(g, delta, HessianModel.zero())
     assert np.allclose(sQ0, [-1.0, 2.0])
@@ -75,20 +74,6 @@ def test_taylor_step_default_is_cauchy_point():
     B = HessianModel.zero()
     s = taylor_step(g, delta, B, 1.0)
     assert np.array_equal(s, linear_step(g, delta))
-
-
-def test_taylor_step_refinement_still_satisfies_conditions():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        n = int(rng.integers(1, 5))
-        g = rng.standard_normal(n)
-        delta = rng.uniform(0.0, 1.5, n)
-        B = HessianModel.diagonal(rng.uniform(-2.0, 3.0, n))
-        tau = rng.uniform(0.1, 1.0)
-        s = taylor_step(g, delta, B, tau, refine=True)
-        sQ = cauchy_step(g, delta, B)
-        assert np.all(np.abs(s) <= delta + 1e-12)
-        assert B.model(g, s) <= tau * B.model(g, sQ) + 1e-10
 
 
 def test_fuzz_sbound_gcp_and_decrease_lemma():
@@ -111,7 +96,8 @@ def test_fuzz_sbound_gcp_and_decrease_lemma():
         # Cauchy decrease dominates the weighted gradient sum
         assert mq <= -(varsigma / (2 * kappa_B)) * np.sum(g * g / w) + 1e-10
         # linear decrease bound for the uncapped radius
-        bound = taylor_decrease_bound(g, w, tr.delta_norm, tau, varsigma, kappa_B)
+        bound = (-(tau * varsigma / (2.0 * kappa_B)) * float(np.sum(g * g / w))
+                 + 0.5 * kappa_B * tr.delta_norm ** 2)
         assert float(g @ s) <= bound + 1e-9 * (1 + abs(bound))
         # step norm never exceeds ||D(w)|g||
         assert np.linalg.norm(s) <= tr.delta_hat_norm * (1 + 1e-12)
@@ -138,8 +124,6 @@ def test_hessian_model_bounds():
     assert B.kappa_B == 1.0
     with pytest.raises(ValueError):
         HessianModel("diagonal", np.array([3.0]), kappa_B=1.0)
-    with pytest.raises(ValueError):
-        HessianModel.explicit(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         HessianModel.zero(kappa_B=0.5)
 
