@@ -9,6 +9,7 @@ summary JSON additionally records wall times.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -238,26 +239,26 @@ def load_config(path):
     }
 
 
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
+# %-formats of one trace CSV line, keyed by which of w_min, w_max and f_diag
+# are None; "%.0s" prints a None as an empty field.
+_LINE_FORMATS = {
+    key: "%d,%d,%s,%.17g,%.17g,%.17g,%.17g,{},{},%.17g,{}\n".format(
+        *["%.0s" if none else "%.17g" for none in key])
+    for key in itertools.product((False, True), repeat=3)
+}
+_CSV_CHUNK = 64  # rows per % operation
 
 
 def write_trace_csv(trace, path):
     """Write the flat per-iteration trace in the fixed column order."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for rec in trace.records:
-            fh.write(",".join([
-                str(rec.level), str(rec.index), rec.kind,
-                _fmt(rec.grad_norm), _fmt(rec.step_norm),
-                _fmt(rec.delta_hat_norm), _fmt(rec.delta_norm),
-                _fmt(rec.w_min), _fmt(rec.w_max),
-                _fmt(rec.cost_cum), _fmt(rec.f_diag),
-            ]) + "\n")
+        rows = trace.records.rows()
+        # one % operation formats a whole chunk of rows
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+            fmt = "".join([_LINE_FORMATS[row[7] is None, row[8] is None, row[10] is None]
+                           for row in chunk])
+            fh.write(fmt % tuple(itertools.chain.from_iterable(chunk)))
 
 
 def _apply_noise(problem, noise, run_seed):

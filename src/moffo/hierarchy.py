@@ -38,9 +38,12 @@ def _power_norm(P):
     determinism.  With d_k the change of the eigenvalue estimate and
     rho_k = d_k / d_{k-1} its contraction, the change still to come is about
     d_k * rho_k / (1 - rho_k); the estimate is returned once that (or d_k,
-    whichever is larger) is within _POWER_TOL of it.  A contraction of one or
-    more never stops, and None is returned after _POWER_MAX_ITER iterations,
-    which is what a clustered top spectrum gives.
+    whichever is larger) is within _POWER_TOL of it.  None is returned, for
+    the caller's SVD, once the same geometric model says on three iterations
+    in a row that the test cannot pass within _POWER_MAX_ITER iterations (a
+    contraction of one or more never passes it), which is what a clustered
+    top spectrum gives; three, because one early contraction near one can be
+    followed by a fast one.
     """
     G = P.T @ P if P.shape[0] >= P.shape[1] else P @ P.T
     v = np.ones(G.shape[0])
@@ -48,7 +51,8 @@ def _power_norm(P):
     w = np.empty_like(v)
     lam_old = 0.0
     d_old = math.inf
-    for _ in range(_POWER_MAX_ITER):
+    stalled = 0
+    for k in range(1, _POWER_MAX_ITER + 1):
         np.matmul(G, v, out=w)
         lam = vector_norm(w)
         if lam == 0.0:
@@ -58,6 +62,13 @@ def _power_norm(P):
         rho = d / d_old
         if rho < 1.0 and d * max(1.0, rho / (1.0 - rho)) <= _POWER_TOL * lam:
             return math.sqrt(lam)
+        if (rho >= 1.0 or d * rho ** (_POWER_MAX_ITER - k) * max(1.0, rho / (1.0 - rho))
+                > _POWER_TOL * lam):
+            stalled += 1
+            if stalled == 3:
+                return None
+        else:
+            stalled = 0
         lam_old, d_old = lam, d
     return None
 

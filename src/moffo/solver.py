@@ -10,8 +10,12 @@ componentwise trust region, an optional recursion into the coarser level
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import operator
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ __all__ = [
     "SolverConfig",
     "CostLedger",
     "IterationRecord",
+    "RecordView",
     "Trace",
     "SolveResult",
     "should_recurse",
@@ -170,6 +175,7 @@ class IterationRecord:
     Terminal evaluations (tolerance reached, budget exhausted, or the
     lower-level descent monitor tripping) carry zero step and radius norms.
     The diagnostic objective value is never consumed by control flow.
+    A Trace stores its records packed and returns them in this form.
     """
 
     level: int
@@ -185,25 +191,135 @@ class IterationRecord:
     f_diag: float | None = None
 
 
+# One trace row: level, index, a kind code, the seven norm, weight and cost
+# fields and f_diag, as native doubles.  The code's low bit marks a recursive
+# step; each other bit marks a None in the field it names, whose slot then
+# holds 0.0.  Levels and indices are exact below 2**53.
+_ROW = struct.Struct("=11d")
+_ROW_WIDTH = _ROW.size // 8  # doubles per row
+_KINDS = ("taylor", "recursive")
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_KIND_NAMES = np.array(_KINDS, dtype=object)
+_NO_W_MIN, _NO_W_MAX, _NO_F_DIAG = 2, 4, 8
+_NULLABLE = ((7, _NO_W_MIN), (8, _NO_W_MAX), (10, _NO_F_DIAG))  # (column, flag bit)
+_DECODE_ROWS = 256  # rows decoded per block, bounding the Python objects alive
+
+
+def _decode(block):
+    """The IterationRecord fields of a (rows, 11) block of packed rows, as
+    tuples; the block is decoded column by column."""
+    code = block[:, 2].astype(np.int64)
+    cols = [block[:, 0].astype(np.int64).tolist(), block[:, 1].astype(np.int64).tolist(),
+            _KIND_NAMES[code & 1].tolist()]
+    cols += [block[:, j].tolist() for j in range(3, _ROW_WIDTH)]
+    for j, bit in _NULLABLE:
+        col = cols[j]
+        for k in np.flatnonzero(code & bit).tolist():
+            col[k] = None
+    return zip(*cols)
+
+
+class RecordView(Sequence):
+    """Read-only sequence of the IterationRecords of a trace, unpacked on access.
+
+    The view of every record is live: it sees records added after it was
+    made, as the list it replaces did.  A view of chosen rows (as
+    top_records() returns) is fixed when made.  rows() yields the same
+    records as plain field tuples, without building record objects.
+    """
+
+    __slots__ = ("_trace", "_pos")
+
+    def __init__(self, trace, pos=None):
+        self._trace = trace
+        self._pos = pos
+
+    def __len__(self):
+        return len(self._trace) if self._pos is None else len(self._pos)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(itertools.starmap(IterationRecord,
+                                          self._at(np.arange(len(self))[i])))
+        n = len(self)
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace record index out of range")
+        return IterationRecord(*next(self._at(np.array([i]))))
+
+    def __iter__(self):
+        return itertools.starmap(IterationRecord, self.rows())
+
+    def rows(self):
+        """Iterate the records' fields as tuples, in IterationRecord order."""
+        return self._trace._rows_at(self._pos)
+
+    def _at(self, k):
+        return self._trace._rows_at(k if self._pos is None else self._pos[k])
+
+
 class Trace:
-    """Chronological record list over all levels plus optional top iterates."""
+    """Chronological records over all levels plus optional top iterates.
+
+    Records are stored as packed fixed-width rows of one bytearray, 88 bytes
+    each against about 330 for a record object and its floats, and are read
+    back through RecordView.
+    """
 
     def __init__(self, r):
         self.r = int(r)
-        self.records = []
         self.top_iterates = []
+        self._rows = bytearray()
 
-    def add(self, record):
-        self.records.append(record)
+    def add(self, level, index, kind, grad_norm, step_norm, delta_hat_norm, delta_norm,
+            w_min, w_max, cost_cum, f_diag=None):
+        """Append one record, given by the fields of an IterationRecord."""
+        code = _KIND_CODES.get(kind)
+        if code is None:
+            raise ValueError("unknown record kind %r" % (kind,))
+        if w_min is None:
+            code += _NO_W_MIN
+            w_min = 0.0
+        if w_max is None:
+            code += _NO_W_MAX
+            w_max = 0.0
+        if f_diag is None:
+            code += _NO_F_DIAG
+            f_diag = 0.0
+        self._rows += _ROW.pack(level, index, code, grad_norm, step_norm, delta_hat_norm,
+                                delta_norm, w_min, w_max, cost_cum, f_diag)
+
+    @property
+    def records(self):
+        return RecordView(self)
 
     def top_records(self):
-        return [rec for rec in self.records if rec.level == self.r]
+        return RecordView(self, np.flatnonzero(self._table()[:, 0] == self.r))
 
     def top_grad_norms(self):
-        return np.array([rec.grad_norm for rec in self.records if rec.level == self.r])
+        table = self._table()
+        return table[table[:, 0] == self.r, 3]
 
     def __len__(self):
-        return len(self.records)
+        return len(self._rows) // _ROW.size
+
+    def _table(self):
+        # Packed rows as a (rows, 11) array.  It holds the bytearray's buffer,
+        # which cannot grow until the array is gone, so callers keep only
+        # copies made from it.
+        return np.frombuffer(self._rows, dtype=np.float64).reshape(-1, _ROW_WIDTH)
+
+    def _rows_at(self, pos=None):
+        """Decoded rows at positions pos, or every row, including rows added
+        while the iteration runs."""
+        start = 0
+        while start < (len(self) if pos is None else len(pos)):
+            stop = start + _DECODE_ROWS
+            block = self._table()[slice(start, stop) if pos is None else pos[start:stop]].copy()
+            start += len(block)
+            yield from _decode(block)
 
 
 @dataclass
@@ -330,8 +446,8 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
                 # iterates are rebound by x = x + s, never written in place
                 rt.best_x = x
         if gnorm <= eps or i == i_budget:
-            rt.trace.add(IterationRecord(level, i, "taylor", gnorm, 0.0, 0.0, 0.0,
-                                         None, None, rt.ledger.total(), f_diag))
+            rt.trace.add(level, i, "taylor", gnorm, 0.0, 0.0, 0.0, None, None,
+                         rt.ledger.total(), f_diag)
             return x, i
 
         # Step 2: weights from the just-evaluated gradient, then the radius.
@@ -341,9 +457,8 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
         decrease = float(np.add.reduce(gg / w))
         w_min = float(np.minimum.reduce(w))
         if monitor_threshold is not None and decrease < monitor_threshold:
-            rt.trace.add(IterationRecord(level, i, "taylor", gnorm, 0.0, 0.0, 0.0,
-                                         w_min, float(np.maximum.reduce(w)),
-                                         rt.ledger.total(), f_diag))
+            rt.trace.add(level, i, "taylor", gnorm, 0.0, 0.0, 0.0, w_min,
+                         float(np.maximum.reduce(w)), rt.ledger.total(), f_diag)
             return x, i
         abs_g = np.abs(g)
         tr = compute_radius(w, abs_g, w_min, is_top, delta_cap, up_norm, scale=step_scale)
@@ -383,10 +498,8 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
         # Step 5: update.
         x_prev = x
         x = x + s
-        rt.trace.add(IterationRecord(level, i, kind, gnorm, step_norm,
-                                     tr.delta_hat_norm, tr.delta_norm,
-                                     w_min, float(np.maximum.reduce(w)),
-                                     rt.ledger.total(), f_diag))
+        rt.trace.add(level, i, kind, gnorm, step_norm, tr.delta_hat_norm, tr.delta_norm,
+                     w_min, float(np.maximum.reduce(w)), rt.ledger.total(), f_diag)
         i += 1
 
 

@@ -70,8 +70,9 @@ class HessianModel:
             self.data = None
         else:
             d = np.asarray(data, dtype=float)
-            if np.max(np.abs(d), initial=0.0) > self.kappa_B * (1.0 + _SLACK):
-                raise ValueError("diagonal exceeds kappa_B bound")
+            # written so that a NaN entry fails it
+            if not np.max(np.abs(d), initial=0.0) <= self.kappa_B * (1.0 + _SLACK):
+                raise ValueError("diagonal exceeds kappa_B bound or is NaN")
             self.data = d
 
     @classmethod

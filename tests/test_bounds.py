@@ -16,13 +16,13 @@ from moffo.bounds import (
     psi_constant,
 )
 from moffo.problems import laplacian_quadratic_1d
-from moffo.solver import Trace, IterationRecord
+from moffo.solver import Trace
 
 
 def _fake_trace(gnorms, r=1):
     tr = Trace(r)
     for i, gn in enumerate(gnorms):
-        tr.add(IterationRecord(r, i, "taylor", float(gn), 0.0, 0.0, 0.0, None, None, 0.0))
+        tr.add(r, i, "taylor", float(gn), 0.0, 0.0, 0.0, None, None, 0.0)
     return tr
 
 

@@ -11,7 +11,7 @@ from moffo.hierarchy import (
     interior_interpolation_1d,
     linear_interpolation_1d,
 )
-from moffo.problems import build_problem, laplacian_quadratic_1d
+from moffo.problems import build_depth_prolongation, build_problem, laplacian_quadratic_1d
 from moffo.solver import SolverConfig, solve
 from moffo.step import vector_norm
 
@@ -114,6 +114,41 @@ def test_power_iteration_stops_at_the_cap(monkeypatch, n_coarse):
     # one call normalizes the start vector, then one per iteration
     assert 1 < len(calls) <= 1 + hierarchy._POWER_MAX_ITER
     assert abs(norm - np.linalg.svd(op.P, compute_uv=False)[0]) <= 1e-15 * norm
+
+
+def _counted_power_norm(monkeypatch, P):
+    calls = []
+
+    def counting_norm(v):
+        calls.append(1)
+        return vector_norm(v)
+
+    monkeypatch.setattr(hierarchy, "vector_norm", counting_norm)
+    norm = hierarchy._power_norm(P)
+    # one call normalizes the start vector, then one per iteration
+    return norm, len(calls) - 1
+
+
+def test_power_iteration_gives_up_early_on_a_stall(monkeypatch):
+    # lap255's 255x127 operator: the contraction climbs toward one, so the
+    # tolerance is out of reach long before the iteration cap
+    norm, iterations = _counted_power_norm(monkeypatch, interior_interpolation_1d(127).P)
+    assert norm is None
+    assert iterations <= 40
+
+
+@pytest.mark.parametrize("P, iterations", [
+    (np.random.default_rng(0).standard_normal((150, 70)), 137),
+    # contractions 0, 0.33, 0.95, 0.43, ...: one pessimistic iteration alone
+    # must not end the iteration
+    (build_depth_prolongation(5, 72, 50).P, None),
+], ids=["random", "depth-5-72-50"])
+def test_power_iteration_still_converges(monkeypatch, P, iterations):
+    norm, count = _counted_power_norm(monkeypatch, P)
+    assert norm is not None
+    assert abs(norm - np.linalg.svd(P, compute_uv=False)[0]) <= 1e-9 * norm
+    if iterations is not None:
+        assert count == iterations
 
 
 @pytest.mark.parametrize("make", [

@@ -128,6 +128,16 @@ def test_hessian_model_bounds():
         HessianModel.zero(kappa_B=0.5)
 
 
+def test_hessian_model_rejects_nan_diagonal():
+    # a NaN entry once passed the range check and made cauchy_step return the
+    # unscaled linear step
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        HessianModel.diagonal([nan, 0.5])
+    with pytest.raises(ValueError):
+        HessianModel("diagonal", np.array([0.5, nan]), kappa_B=2.0)
+
+
 def test_taylor_step_rejects_bad_tau():
     with pytest.raises(ValueError):
         taylor_step(np.ones(2), np.ones(2), HessianModel.zero(), 0.0)
