@@ -15,6 +15,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .weights import ADAGRAD_LIKE
+
 __all__ = [
     "TheoryConstants",
     "beta_recursion",
@@ -268,10 +270,11 @@ def theory_constants(problem, config):
     Needs the problem's exact Lipschitz constant and lower bound.  For the
     AdaGrad-like family kappa* (and psi when mu = 1/2) is filled in; for
     the divergent family the burn-in thresholds, with vartheta set to half
-    the top-level beta1.
+    the top-level beta1.  The config is validated first.
     """
     hier = problem.hierarchy
     r = hier.r
+    config.validate(r)
     L = problem.exact_L
     f_low = problem.f_low
     if L is None or f_low is None:
@@ -290,7 +293,7 @@ def theory_constants(problem, config):
         alpha=config.alpha, omega=omega, mu=config.mu, nu=config.nu_resolved(),
         i_max=budgets, sigma_min=sig, beta1=beta1, beta2=beta2,
     )
-    if config.weight_kind == "adagrad_like":
+    if config.weight_kind == ADAGRAD_LIKE:
         tc.kappa_star = kappa_star(config.mu, varsigma_min, tc.n, Gamma0, L,
                                    beta1[-1], beta2[-1])
         if config.mu == 0.5:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import bounds, problems
 from .solver import SolverConfig, solve
+from .weights import ADAGRAD_LIKE
 
 __all__ = [
     "ConfigError",
@@ -178,6 +179,9 @@ def load_config(path):
         field, kind = _SOLVER_KEYS[key]
         _check_type("solver." + key, val, kind)
         solver_kwargs[field] = val
+    if solver_kwargs.get("i_max") is not None and "i_max_top" in solver_kwargs:
+        raise ConfigError("solver.i_max and solver.i_max_top are both set; i_max gives "
+                          "every level's budget, top included")
     try:
         SolverConfig(**solver_kwargs).validate(problem.r)
     except (ValueError, TypeError) as exc:
@@ -206,7 +210,7 @@ def load_config(path):
     runs = raw.get("runs", {})
     if not isinstance(runs, dict):
         raise ConfigError("runs must be an object")
-    extra = set(runs) - {"repetitions", "seeds", "out_dir", "trace"}
+    extra = set(runs) - {"repetitions", "seeds", "out_dir"}
     if extra:
         raise ConfigError("runs: unknown field(s) %s" % sorted(extra))
     reps = runs.get("repetitions", 1)
@@ -221,11 +225,6 @@ def load_config(path):
         raise ConfigError("runs.seeds must list at least runs.repetitions seeds")
     out_dir = runs.get("out_dir", ".")
     _check_type("runs.out_dir", out_dir, "string")
-    trace_mode = runs.get("trace", "standard")
-    if trace_mode not in ("standard", "diagnostic"):
-        raise ConfigError("runs.trace must be 'standard' or 'diagnostic'")
-    if trace_mode == "diagnostic":
-        solver_kwargs["diag_values"] = True
     return {
         "problem_name": name,
         "problem_params": prob,
@@ -405,7 +404,7 @@ def cmd_check_bounds(config_path, out_dir=None):
         res = solve(problem, cfg)
         checks = {}
         failed = False
-        if cfg.weight_kind == "adagrad_like":
+        if cfg.weight_kind == ADAGRAD_LIKE:
             rep = bounds.check_adagrad_rate(res.trace, tc.kappa_star)
             checks[rep.name] = rep.as_dict()
             failed = failed or rep.status == "fail"

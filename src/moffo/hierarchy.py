@@ -78,8 +78,7 @@ class TransferOperator:
 
     P maps the coarse space into the fine space and must have full column
     rank.  Instances are immutable after construction; the spectral norm and
-    the singular values are computed lazily and cached (the fill is
-    idempotent, so racing threads at worst duplicate work).  The norm comes
+    the singular values are computed lazily and cached.  The norm comes
     from the dense SVD for small operators and for those on which power
     iteration stalls, otherwise from power iteration; one SVD per operator
     serves both that fallback and sigma_min.
@@ -272,17 +271,15 @@ class CoherentModel:
         return self.base_value(x) + float(self.v @ (x - self.anchor))
 
 
-def build_coherent_model(lower_oracle, x_low0, g_upper, op, lower_value=None, rg=None):
+def build_coherent_model(lower_oracle, x_low0, rg, lower_value=None):
     """Assemble the coherent lower-level model at an anchor point.
 
     lower_oracle is the plain gradient of the lower objective; x_low0 the
-    entry point (the restricted upper iterate); g_upper the current upper
-    gradient.  rg, when given, is op.restrict(g_upper), already computed by
-    the caller.  Evaluates the lower oracle once at the anchor.
+    entry point (the restricted upper iterate); rg the restricted upper
+    gradient R g.  Evaluates the lower oracle once at the anchor.
     """
     x_low0 = np.asarray(x_low0, dtype=float)
-    if rg is None:
-        rg = op.restrict(np.asarray(g_upper, dtype=float))
+    rg = np.asarray(rg, dtype=float)
     if rg.shape != x_low0.shape:
         raise ValueError(
             "restricted gradient has shape %s, anchor has shape %s" % (rg.shape, x_low0.shape)

@@ -9,6 +9,7 @@ per-level seeded streams, one draw per call.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -39,28 +40,30 @@ __all__ = [
 ]
 
 
+@dataclass(eq=False)
 class ProblemHierarchy:
     """A level stack plus the metadata the harness and bound checks need.
 
     sampled_grads, when present, lists per-level callables (x, idx) -> mean
     gradient over the given sample indices; they make the problem eligible
     for the minibatch wrapper.  base points at the unwrapped problem so
-    exact gradients stay reachable from noisy variants.
+    exact gradients stay reachable from noisy variants.  Variants are
+    copies made by dataclasses.replace, sharing the fields they keep.
     """
 
-    def __init__(self, name, hierarchy, x0, exact_L=None, f_low=None,
-                 dataset_size=None, noise="none", sampled_grads=None,
-                 dataset=None, base=None):
-        self.name = name
-        self.hierarchy = hierarchy
-        self.x0 = np.asarray(x0, dtype=float)
-        self.exact_L = exact_L
-        self.f_low = f_low
-        self.dataset_size = dataset_size
-        self.noise = noise
-        self.sampled_grads = sampled_grads
-        self.dataset = dataset
-        self.base = base
+    name: str
+    hierarchy: LevelHierarchy
+    x0: np.ndarray
+    exact_L: float | None = None
+    f_low: float | None = None
+    dataset_size: int | None = None
+    noise: str = "none"
+    sampled_grads: list | None = None
+    dataset: tuple | None = None
+    base: ProblemHierarchy | None = None
+
+    def __post_init__(self):
+        self.x0 = np.asarray(self.x0, dtype=float)
 
     @property
     def r(self):
@@ -82,20 +85,17 @@ class ProblemHierarchy:
         stream) is shared; sampled_grads and base are cut down to the top
         level likewise, so exact_grad(1, x) and with_minibatch still see it.
         """
-        top = self.hierarchy.level(self.r)
-        sampled = None if self.sampled_grads is None else self.sampled_grads[-1:]
-        base = None if self.base is None else self.base.single_level()
-        return ProblemHierarchy(self.name + "-single", LevelHierarchy([top], []), self.x0,
-                                self.exact_L, self.f_low, self.dataset_size, self.noise,
-                                sampled, self.dataset, base=base)
+        return dataclasses.replace(
+            self, name=self.name + "-single",
+            hierarchy=LevelHierarchy([self.hierarchy.level(self.r)], []),
+            sampled_grads=None if self.sampled_grads is None else self.sampled_grads[-1:],
+            base=None if self.base is None else self.base.single_level())
 
     def strip_values(self):
         """Clone with all value oracles removed (control flow must not notice)."""
         levels = [Level(l.n, l.grad, None, l.eval_fraction) for l in self.hierarchy.levels]
         hier = LevelHierarchy(levels, self.hierarchy.operators)
-        return ProblemHierarchy(self.name, hier, self.x0, self.exact_L, self.f_low,
-                                self.dataset_size, self.noise, self.sampled_grads,
-                                self.dataset, base=self.base)
+        return dataclasses.replace(self, hierarchy=hier)
 
 
 def quadratic_diag(diag=(1.0, 2.0), x0=(3.0, -4.0)):
@@ -111,10 +111,6 @@ def quadratic_diag(diag=(1.0, 2.0), x0=(3.0, -4.0)):
     hier = LevelHierarchy([level], [])
     return ProblemHierarchy("quadratic2d", hier, np.asarray(x0, dtype=float),
                             exact_L=float(d.max()), f_low=0.0)
-
-
-def _is_power_of_two_minus_one(n):
-    return n >= 1 and ((n + 1) & n) == 0
 
 
 def _laplacian_apply(x, h):
@@ -143,12 +139,29 @@ def _tridiag_laplacian_solve(b, h):
     return x
 
 
-def _interior_dims(n_fine, levels):
+def _nested_grids(n_fine, levels, forcing, times_h=False):
+    """Nested interior grids of the 1D problems, coarse to fine.
+
+    Checks n_fine = 2^m - 1 with m >= levels + 1 and returns the grid sizes,
+    the interpolation operators between neighbouring grids, the finest mesh
+    width h and the forcing(t) at the fine nodes t (times h if times_h),
+    restricted down the levels.
+    """
+    if not (n_fine >= 1 and ((n_fine + 1) & n_fine) == 0):
+        raise ValueError("n_fine must be 2^m - 1, got %d" % n_fine)
+    if levels < 1 or int(math.log2(n_fine + 1)) < levels + 1:
+        raise ValueError("need n_fine = 2^m - 1 with m >= levels + 1")
     dims = [n_fine]
     for _ in range(levels - 1):
-        dims.append((dims[-1] - 1) // 2)
-    dims.reverse()
-    return dims
+        dims.insert(0, (dims[0] - 1) // 2)
+    ops = [interior_interpolation_1d(n) for n in dims[:-1]]
+    h_top = 1.0 / (n_fine + 1)
+    rhs = [np.asarray(forcing(np.arange(1, n_fine + 1) * h_top), dtype=float)]
+    if times_h:
+        rhs[0] = h_top * rhs[0]
+    for op in reversed(ops):
+        rhs.insert(0, op.restrict(rhs[0]))
+    return dims, ops, h_top, rhs
 
 
 def laplacian_quadratic_1d(n_fine=255, levels=3, dataset_size=40, noise_scale=0.1,
@@ -160,22 +173,9 @@ def laplacian_quadratic_1d(n_fine=255, levels=3, dataset_size=40, noise_scale=0.
     problem is sum-structured through zero-mean per-sample gradient offsets,
     so the minibatch wrapper applies.
     """
-    if not _is_power_of_two_minus_one(n_fine):
-        raise ValueError("n_fine must be 2^m - 1, got %d" % n_fine)
-    m = int(math.log2(n_fine + 1))
-    if levels < 1 or m < levels + 1:
-        raise ValueError("need n_fine = 2^m - 1 with m >= levels + 1")
-    dims = _interior_dims(n_fine, levels)
-    ops = [interior_interpolation_1d(dims[k]) for k in range(levels - 1)]
     if forcing is None:
         forcing = lambda t: np.sin(2.0 * np.pi * t) + 0.4 * np.sin(9.0 * np.pi * t)
-
-    h_top = 1.0 / (n_fine + 1)
-    t = np.arange(1, n_fine + 1) * h_top
-    b = [None] * levels
-    b[-1] = np.asarray(forcing(t), dtype=float)
-    for k in range(levels - 1, 0, -1):
-        b[k - 1] = ops[k - 1].restrict(b[k])
+    dims, ops, h_top, b = _nested_grids(n_fine, levels, forcing)
 
     rng = np.random.default_rng(sample_seed)
     zeta = rng.standard_normal((dataset_size, n_fine))
@@ -222,22 +222,9 @@ def nonconvex_chain_1d(n_fine=63, levels=3, forcing=None):
     with zero Dirichlet ends.  The forcing is small enough that the arc
     length dominates, certifying the lower bound -h*n on the whole space.
     """
-    if not _is_power_of_two_minus_one(n_fine):
-        raise ValueError("n_fine must be 2^m - 1, got %d" % n_fine)
-    m = int(math.log2(n_fine + 1))
-    if levels < 1 or m < levels + 1:
-        raise ValueError("need n_fine = 2^m - 1 with m >= levels + 1")
-    dims = _interior_dims(n_fine, levels)
-    ops = [interior_interpolation_1d(dims[k]) for k in range(levels - 1)]
     if forcing is None:
         forcing = lambda t: np.sin(2.0 * np.pi * t)
-
-    h_top = 1.0 / (n_fine + 1)
-    t = np.arange(1, n_fine + 1) * h_top
-    f = [None] * levels
-    f[-1] = h_top * np.asarray(forcing(t), dtype=float)
-    for k in range(levels - 1, 0, -1):
-        f[k - 1] = ops[k - 1].restrict(f[k])
+    dims, ops, h_top, f = _nested_grids(n_fine, levels, forcing, times_h=True)
 
     levels_list = []
     for k in range(levels):
@@ -457,11 +444,8 @@ def with_minibatch(problem, batch_fraction, seed):
                 return sgrad(x, idx)
 
         levels.append(Level(lvl.n, noisy, lvl.value, eval_fraction=nb / nd))
-    hier = LevelHierarchy(levels, root.hierarchy.operators)
-    return ProblemHierarchy(problem.name, hier, problem.x0, problem.exact_L,
-                            problem.f_low, nd, noise="minibatch(%g,%d)" % (batch_fraction, seed),
-                            sampled_grads=problem.sampled_grads,
-                            dataset=problem.dataset, base=root)
+    return dataclasses.replace(problem, hierarchy=LevelHierarchy(levels, root.hierarchy.operators),
+                               noise="minibatch(%g,%d)" % (batch_fraction, seed), base=root)
 
 
 def with_gaussian_noise(problem, sigma, seed):
@@ -481,12 +465,10 @@ def with_gaussian_noise(problem, sigma, seed):
             return lvl.grad(x) + sigma * stream.standard_normal(lvl.n)
 
         levels.append(Level(lvl.n, noisy, lvl.value, eval_fraction=lvl.eval_fraction))
-    hier = LevelHierarchy(levels, problem.hierarchy.operators)
-    return ProblemHierarchy(problem.name, hier, problem.x0, problem.exact_L,
-                            problem.f_low, problem.dataset_size,
-                            noise=label if problem.noise == "none" else problem.noise + "+" + label,
-                            sampled_grads=problem.sampled_grads,
-                            dataset=problem.dataset, base=problem.root)
+    return dataclasses.replace(
+        problem, hierarchy=LevelHierarchy(levels, problem.hierarchy.operators),
+        noise=label if problem.noise == "none" else problem.noise + "+" + label,
+        base=problem.root)
 
 
 def finite_difference_check(problem, level=None, x=None, h=1e-6, seed=0):
@@ -525,6 +507,10 @@ def finite_difference_check(problem, level=None, x=None, h=1e-6, seed=0):
     return worst
 
 
+def _resnet_from_params(n_samples=64, seed=0, **spec):
+    return resnet_regression(ResNetSpec(**spec), n_samples=n_samples, seed=seed)
+
+
 _BUILDERS = {
     "quadratic2d": (quadratic_diag, {"diag", "x0"},
                     "2-d diagonal quadratic, single level"),
@@ -533,8 +519,8 @@ _BUILDERS = {
                     "1D Dirichlet Laplacian quadratic hierarchy"),
     "chain1d": (nonconvex_chain_1d, {"n_fine", "levels"},
                 "nonconvex arc-length chain hierarchy"),
-    "resnet": (None, {"k_coarse", "levels", "horizon", "width", "n_in", "n_out",
-                      "beta1", "beta2", "n_samples", "seed"},
+    "resnet": (_resnet_from_params,
+               {f.name for f in dataclasses.fields(ResNetSpec)} | {"n_samples", "seed"},
                "depth-coarsened dense-block ResNet regression"),
 }
 
@@ -549,11 +535,6 @@ def build_problem(name, **params):
     bad = set(params) - allowed
     if bad:
         raise ValueError("unknown parameter(s) %s for problem %r" % (sorted(bad), name))
-    if name == "resnet":
-        spec_keys = {k: v for k, v in params.items() if k not in ("n_samples", "seed")}
-        spec = ResNetSpec(**spec_keys)
-        return resnet_regression(spec, n_samples=params.get("n_samples", 64),
-                                 seed=params.get("seed", 0))
     return builder(**params)
 
 

@@ -88,7 +88,8 @@ class SolverConfig:
     record_iterates: bool = False
 
     def validate(self, r):
-        # Range tests are written so that NaN fails them.
+        # Range tests are written so that NaN, and infinity where a finite
+        # value is needed, fail them.
         if self.weight_kind not in (ADAGRAD_LIKE, MAXGI):
             raise ValueError("unknown weight kind %r" % self.weight_kind)
         if not 0.0 < self.mu < 1.0:
@@ -98,12 +99,12 @@ class SolverConfig:
             raise ValueError("nu must lie in (0, mu]")
         if not 0.0 < self.kappa_R < 1.0:
             raise ValueError("kappa_R must lie in (0, 1)")
-        if not self.alpha >= 1.0:
-            raise ValueError("alpha must be >= 1")
+        if not 1.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 1")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
-        if not self.kappa_B >= 1.0:
-            raise ValueError("kappa_B must be >= 1")
+        if not 1.0 <= self.kappa_B < math.inf:
+            raise ValueError("kappa_B must be finite and >= 1")
         if not self.eps_top > 0.0:
             raise ValueError("eps_top must be positive")
         if not (_is_integral(self.pre_smooth) and _is_integral(self.post_smooth)
@@ -111,8 +112,8 @@ class SolverConfig:
             raise ValueError("need integers pre_smooth >= 1 and post_smooth >= 0")
         if not 0.0 < self.lower_eps_factor <= 1.0:
             raise ValueError("lower_eps_factor must lie in (0, 1]")
-        if not self.step_scale > 0.0:
-            raise ValueError("step_scale must be positive")
+        if not 0.0 < self.step_scale < math.inf:
+            raise ValueError("step_scale must be positive and finite")
         if not _is_integral(self.i_max_top) or self.i_max_top < 1:
             raise ValueError("i_max_top must be a positive integer")
         budgets = self.i_max if self.i_max is not None else self.resolved_i_max(r)
@@ -347,21 +348,6 @@ def should_recurse(Rg, w_low, g, w, kappa_R, decrease=None):
     return lhs >= kappa_R * decrease
 
 
-class _TopObjective:
-    """Adapter exposing the top level's raw oracles as a model."""
-
-    anchor = None
-    anchor_model_grad = None
-
-    def __init__(self, level):
-        self._level = level
-        # the level's own oracle, called without an adapter hop
-        self.grad = level.grad
-
-    def value(self, x):
-        return None if self._level.value is None else float(self._level.value(x))
-
-
 class _Runtime:
     """Shared state threaded through the recursion."""
 
@@ -372,33 +358,19 @@ class _Runtime:
         self.trace = trace
         self.r = hier.r
         self.i_max = cfg.resolved_i_max(hier.r)
-        self._floors = {}
-        for l in range(1, hier.r + 1):
-            self._floors[l] = as_floor_vector(cfg.varsigma, hier.dim(l))
-        self.varsigma_min = min(float(f.min()) for f in self._floors.values())
+        # validated floor vectors, floors[l - 1] for level l
+        self.floors = [as_floor_vector(cfg.varsigma, hier.dim(l)) for l in range(1, hier.r + 1)]
+        self.varsigma_min = min(float(f.min()) for f in self.floors)
         self.B = HessianModel.zero(cfg.kappa_B)
         self.best_gnorm = math.inf
         self.best_x = None
 
-    def floors(self, level):
-        return self._floors[level]
 
+def _eval_gradient(rt, level, objective, x, eval_fraction):
+    """Evaluate the objective's gradient, charging the ledger eval_fraction.
 
-def _fresh_state(rt, level):
-    cfg = rt.cfg
-    return WeightState(cfg.weight_kind, cfg.mu, cfg.nu_resolved(), rt.floors(level),
-                       rt.hier.dim(level))
-
-
-def _eval_gradient(rt, level, objective, x, i, eval_fraction):
-    """Evaluate the model gradient, charging the ledger eval_fraction.
-
-    Iteration 0 of a coherent lower-level model reuses the anchor evaluation
-    performed while building the model, which was charged at build time.
     The result is contiguous, which vector_norm relies on.
     """
-    if i == 0 and objective.anchor_model_grad is not None:
-        return objective.anchor_model_grad
     g = np.ascontiguousarray(objective.grad(x), dtype=float)
     if g.shape != x.shape:
         raise ValueError("level %d gradient has shape %s, expected %s"
@@ -407,8 +379,14 @@ def _eval_gradient(rt, level, objective, x, i, eval_fraction):
     return g
 
 
-def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_threshold=None):
-    """One solver call at the given level; returns (x_plus, completed_steps)."""
+def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, g0=None,
+               monitor_threshold=None):
+    """One solver call at the given level; returns (x_plus, completed_steps).
+
+    objective is the top Level or a lower level's CoherentModel.  g0, when
+    given, is the gradient at x0, already evaluated and charged (a coherent
+    model's anchor gradient); iteration 0 uses it instead of a fresh draw.
+    """
     cfg = rt.cfg
     r = rt.r
     is_top = level == r
@@ -421,7 +399,8 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
     # post_smooth Taylor iterations, repeating; its period is read once per visit
     pre_smooth = cfg.pre_smooth
     period = pre_smooth + 1 + cfg.post_smooth
-    diag_values, record_iterates = cfg.diag_values, cfg.record_iterates
+    value = objective.value if cfg.diag_values else None
+    record_iterates = cfg.record_iterates
     step_scale, tau = cfg.step_scale, cfg.tau
     x0 = np.asarray(x0, dtype=float)
     x = x0.copy()
@@ -433,11 +412,14 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, monitor_thresho
             if x_prev is None:
                 raise InvariantError("movement budget violated at entry")
             return x_prev, i - 1
-        g = _eval_gradient(rt, level, objective, x, i, eval_fraction)
+        if i == 0 and g0 is not None:
+            g = g0
+        else:
+            g = _eval_gradient(rt, level, objective, x, eval_fraction)
         gnorm = vector_norm(g)
         if not math.isfinite(gnorm):
             raise NonFiniteGradientError(level, i, gnorm)
-        f_diag = objective.value(x) if diag_values else None
+        f_diag = None if value is None else value(x)
         if is_top:
             if record_iterates:
                 rt.trace.top_iterates.append(x.copy())
@@ -508,7 +490,7 @@ def _try_recursive(rt, level, op_down, x, g, w, w_min, tr, decrease):
     cfg = rt.cfg
     Rg = op_down.restrict(g)
     delta_norm = tr.delta_norm
-    floors_low = rt.floors(level - 1)  # validated once, by _Runtime
+    floors_low = rt.floors[level - 2]
     if cfg.weight_kind == ADAGRAD_LIKE:
         w_low = init_lower_adagrad(floors_low, op_down.norm, Rg, cfg.alpha,
                                    delta_norm, vector_norm(w))
@@ -521,15 +503,15 @@ def _try_recursive(rt, level, op_down, x, g, w, w_min, tr, decrease):
 
     lower = rt.hier.level(level - 1)
     x_low0 = op_down.restrict(x)
-    model = build_coherent_model(lower.grad, x_low0, g, op_down, lower_value=lower.value,
-                                 rg=Rg)
+    model = build_coherent_model(lower.grad, x_low0, Rg, lower_value=lower.value)
     rt.ledger.add(level - 1, lower.eval_fraction)  # anchor evaluation inside the build
     eps_low = cfg.lower_eps_factor * vector_norm(Rg)
+    g0 = model.anchor_model_grad
     state = seed_lower_state(cfg.weight_kind, cfg.mu, cfg.nu_resolved(), floors_low,
-                             w_low, model.anchor_model_grad)
+                             w_low, g0)
     threshold = cfg.kappa_R * decrease if cfg.strict_descent_monitoring else None
     x_low, completed = _run_level(rt, level - 1, model, x_low0, eps_low, delta_low,
-                                  state, monitor_threshold=threshold)
+                                  state, g0=g0, monitor_threshold=threshold)
     if cfg.lower_eps_factor < 1.0 and not completed >= 1:
         raise InvariantError("no iteration completed at the lower level")
     lhs = vector_norm(np.abs(Rg) / w_low)
@@ -560,9 +542,10 @@ def solve(problem, config=None, x0=None):
     ledger = CostLedger(hier.r)
     trace = Trace(hier.r)
     rt = _Runtime(hier, cfg, ledger, trace)
-    top = _TopObjective(hier.level(hier.r))
-    state = _fresh_state(rt, hier.r)
-    x_final, completed = _run_level(rt, hier.r, top, x0, cfg.eps_top, math.inf, state)
+    state = WeightState(cfg.weight_kind, cfg.mu, cfg.nu_resolved(), rt.floors[-1],
+                        hier.dim(hier.r))
+    x_final, completed = _run_level(rt, hier.r, hier.level(hier.r), x0, cfg.eps_top,
+                                    math.inf, state)
     final_gnorm = trace.top_records()[-1].grad_norm
     if final_gnorm <= cfg.eps_top:
         return SolveResult(x_final, "converged", final_gnorm, completed, trace, ledger)

@@ -62,17 +62,17 @@ class HessianModel:
     def __init__(self, kind, data=None, kappa_B=1.0):
         if kind not in ("zero", "diagonal"):
             raise ValueError("unknown Hessian kind %r" % kind)
-        if not kappa_B >= 1.0:
-            raise ValueError("kappa_B must be >= 1")
+        if not 1.0 <= kappa_B < math.inf:
+            raise ValueError("kappa_B must be finite and >= 1")
         self.kind = kind
         self.kappa_B = float(kappa_B)
         if kind == "zero":
             self.data = None
         else:
             d = np.asarray(data, dtype=float)
-            # written so that a NaN entry fails it
+            # written so that a NaN or infinite entry fails it
             if not np.max(np.abs(d), initial=0.0) <= self.kappa_B * (1.0 + _SLACK):
-                raise ValueError("diagonal exceeds kappa_B bound or is NaN")
+                raise ValueError("diagonal exceeds kappa_B bound or is not finite")
             self.data = d
 
     @classmethod

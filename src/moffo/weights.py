@@ -50,11 +50,12 @@ class WeightState:
 
     kind: ADAGRAD_LIKE emits max(floor, (varsigma + c + sum g^2)^mu);
     MAXGI emits max(floor, max(varsigma, running max |g|) * (i+1)^nu).
-    A state is owned by exactly one level visit at a time.
+    A state is owned by exactly one level visit at a time.  w0, when given,
+    holds prescribed entry weights: the first update emits them verbatim and
+    every later weight is floored by them componentwise.
     """
 
-    def __init__(self, kind, mu, nu, varsigma, dim, prescribed_floor=None,
-                 base_offset=None, first_emit=None):
+    def __init__(self, kind, mu, nu, varsigma, dim, w0=None, base_offset=None):
         if kind not in (ADAGRAD_LIKE, MAXGI):
             raise ValueError("unknown weight kind %r" % kind)
         if not 0.0 < mu < 1.0:
@@ -78,10 +79,7 @@ class WeightState:
         # varsigma + c + acc evaluates left to right, so the constant part
         # can be summed once.
         self._shift = self.varsigma + self.c
-        self.prescribed_floor = (
-            None if prescribed_floor is None else np.asarray(prescribed_floor, dtype=float)
-        )
-        self._first_emit = None if first_emit is None else np.array(first_emit, dtype=float)
+        self.w0 = None if w0 is None else np.array(w0, dtype=float)
 
     def update(self, g, gg):
         """Fold the current gradient g, with its squares gg = g * g, in and
@@ -95,15 +93,21 @@ class WeightState:
         else:
             self.acc = np.maximum(self.acc, np.abs(g))
             w = np.maximum(self.varsigma, self.acc) * (self.i + 1.0) ** self.nu
-        if self.prescribed_floor is not None:
-            w = np.maximum(self.prescribed_floor, w)
-        if self._first_emit is not None:
-            # Seeded lower-level state: the entry weights are prescribed
-            # verbatim; the accumulators above already absorbed g0.
-            w = self._first_emit
-            self._first_emit = None
+        if self.w0 is not None:
+            # Seeded lower-level state: the entry weights are emitted verbatim
+            # (the accumulators above already absorbed g0), then floor the rest.
+            w = np.maximum(self.w0, w) if self.i else self.w0
         self.i += 1
         return w
+
+
+def _budget_feasible(floors, P_norm, Rg, alpha, Delta_norm):
+    """Componentwise max of the floors and the budget term that makes the
+    first lower radius fit in the Euclidean norm, hence the sqrt(n) factor."""
+    if Delta_norm <= 0.0:
+        raise ValueError("Delta_norm must be positive")
+    Rg = np.asarray(Rg, dtype=float)
+    return np.maximum(floors, math.sqrt(Rg.shape[0]) * P_norm * np.abs(Rg) / (alpha * Delta_norm))
 
 
 def init_lower_divergent(floors, P_norm, Rg, alpha, Delta_norm, min_upper_weight):
@@ -115,12 +119,8 @@ def init_lower_divergent(floors, P_norm, Rg, alpha, Delta_norm, min_upper_weight
     than the upper one.  floors is a floor vector of Rg's size, as
     returned by as_floor_vector.
     """
-    if Delta_norm <= 0.0:
-        raise ValueError("Delta_norm must be positive")
-    Rg = np.asarray(Rg, dtype=float)
-    n = Rg.shape[0]
-    budget = math.sqrt(n) * P_norm * np.abs(Rg) / (alpha * Delta_norm)
-    return np.maximum(np.maximum(floors, budget), float(min_upper_weight))
+    return np.maximum(_budget_feasible(floors, P_norm, Rg, alpha, Delta_norm),
+                      float(min_upper_weight))
 
 
 def init_lower_adagrad(floors, P_norm, Rg, alpha, Delta_norm, upper_weight_norm):
@@ -131,11 +131,7 @@ def init_lower_adagrad(floors, P_norm, Rg, alpha, Delta_norm, upper_weight_norm)
     scaling is needed the budget-feasible vector itself is returned.
     floors is as for init_lower_divergent.
     """
-    if Delta_norm <= 0.0:
-        raise ValueError("Delta_norm must be positive")
-    Rg = np.asarray(Rg, dtype=float)
-    n = Rg.shape[0]
-    w_hat = np.maximum(floors, math.sqrt(n) * P_norm * np.abs(Rg) / (alpha * Delta_norm))
+    w_hat = _budget_feasible(floors, P_norm, Rg, alpha, Delta_norm)
     scale = max(1.0, float(upper_weight_norm) / vector_norm(w_hat))
     # 1.0 * w_hat is exact, so the unscaled vector serves as is.
     return w_hat if scale == 1.0 else scale * w_hat
@@ -159,7 +155,4 @@ def seed_lower_state(kind, mu, nu, varsigma, w0, g0):
     offset = None
     if kind == ADAGRAD_LIKE:
         offset = np.maximum(0.0, w0 ** (1.0 / mu) - floors - g0 * g0)
-    return WeightState(
-        kind, mu, nu, floors, dim,
-        prescribed_floor=w0.copy(), base_offset=offset, first_emit=w0,
-    )
+    return WeightState(kind, mu, nu, floors, dim, w0=w0, base_offset=offset)

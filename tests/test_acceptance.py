@@ -177,8 +177,8 @@ def test_criterion_04_structural_invariants_fuzz():
         lower = lambda y, M=M: M @ y + 1.0
         x_low0 = rng.standard_normal(n_c)
         g_up = rng.standard_normal(n_f) * 10.0 ** rng.uniform(-2, 2)
-        model = build_coherent_model(lower, x_low0, g_up, op)
         rg = op.restrict(g_up)
+        model = build_coherent_model(lower, x_low0, rg)
         if not np.linalg.norm(model.grad(x_low0) - rg) <= 1e-12 * (1 + np.linalg.norm(rg)):
             violations += 1
 

@@ -14,9 +14,10 @@ from moffo.bounds import (
     lambert_bound_check,
     lambert_w_minus1,
     psi_constant,
+    theory_constants,
 )
-from moffo.problems import laplacian_quadratic_1d
-from moffo.solver import Trace
+from moffo.problems import laplacian_quadratic_1d, quadratic_diag
+from moffo.solver import SolverConfig, Trace
 
 
 def _fake_trace(gnorms, r=1):
@@ -166,6 +167,12 @@ def test_divergent_thresholds_term_by_term():
 def test_divergent_thresholds_guard():
     with pytest.raises(ValueError):
         divergent_thresholds(0.005, 0.1, 0.1, 0.01, 1, 1.0, 0.0, 0.005, 1.0, 1.0)
+
+
+def test_theory_constants_rejects_infinite_kappa_B():
+    # beta_recursion divides by kappa_B, so it must be finite
+    with pytest.raises(ValueError, match="kappa_B"):
+        theory_constants(quadratic_diag(), SolverConfig(kappa_B=math.inf))
 
 
 def test_check_adagrad_rate_trivial_and_violation():

@@ -1,5 +1,6 @@
 """Experiment runner: config validation, runs, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from moffo import problems
 from moffo.cli import (
+    _SOLVER_KEYS,
     EXIT_CONFIG,
     EXIT_OK,
     adagrad_oracle_baseline,
@@ -109,6 +111,7 @@ _MALFORMED = [
     ({"problem": {"minibatch": {"fraction": 2.0}}}, "problem.minibatch"),
     ({"problem": {"minibatch": {}}}, "problem.minibatch.fraction"),
     ({"baselines": [{"kind": "sgd", "lr": "fast"}]}, "baselines[0].lr"),
+    ({"solver": {"i_max": [2, 5]}}, "solver.i_max and solver.i_max_top"),
 ]
 
 
@@ -200,10 +203,17 @@ def test_baseline_loops_behave():
     assert gn2 <= 1e-6
 
 
+def test_one_config_key_per_solver_field():
+    # record_iterates keeps top iterates in memory for API callers; no run
+    # writes them, so the config has no key for it
+    fields = [f.name for f in dataclasses.fields(SolverConfig) if f.name != "record_iterates"]
+    assert sorted(field for field, _ in _SOLVER_KEYS.values()) == sorted(fields)
+
+
 def test_diagnostic_trace_mode_fills_f(tmp_path):
     cfg = {"problem": {"name": "quadratic2d"},
-           "solver": {"eps_top": 1e-4, "i_max_top": 50},
-           "runs": {"out_dir": ".", "trace": "diagnostic"}}
+           "solver": {"eps_top": 1e-4, "i_max_top": 50, "diag_values": True},
+           "runs": {"out_dir": "."}}
     assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_OK
     lines = (tmp_path / "trace_quadratic2d_seed0.csv").read_text().splitlines()
     assert lines[1].split(",")[10] != ""

@@ -172,7 +172,7 @@ def test_norm_and_sigma_min_share_one_svd(monkeypatch, make):
 def test_coherent_model_telescoping():
     op = TransferOperator(np.eye(1), omega=1.0)
     model = build_coherent_model(lambda x: np.array([3.0]), np.array([0.0]),
-                                 np.array([5.0]), op)
+                                 op.restrict(np.array([5.0])))
     assert np.allclose(model.v, [2.0])
     assert np.allclose(model.grad(np.array([0.0])), [5.0])
 
@@ -180,7 +180,7 @@ def test_coherent_model_telescoping():
 def test_coherent_model_zero_correction():
     op = TransferOperator(np.eye(2), omega=1.0)
     g_up = np.array([1.0, -2.0])
-    model = build_coherent_model(lambda x: g_up.copy(), np.zeros(2), g_up, op)
+    model = build_coherent_model(lambda x: g_up.copy(), np.zeros(2), op.restrict(g_up))
     assert np.allclose(model.v, 0.0)
 
 
@@ -191,8 +191,8 @@ def test_coherent_model_anchor_identity_on_laplacian():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(31)
     g = hier.level(2).grad(x)
-    model = build_coherent_model(hier.level(1).grad, op.restrict(x), g, op)
     rg = op.restrict(g)
+    model = build_coherent_model(hier.level(1).grad, op.restrict(x), rg)
     assert np.linalg.norm(model.grad(op.restrict(x)) - rg) <= 1e-12 * (1 + np.linalg.norm(rg))
 
 

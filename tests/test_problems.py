@@ -1,5 +1,6 @@
 """Built-in problems: stencils, gradients, transfers, noise wrappers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -245,6 +246,18 @@ def test_registry():
         build_problem("nope")
     with pytest.raises(ValueError):
         build_problem("chain1d", bogus=3)
+
+
+def test_build_problem_resnet_takes_each_spec_field():
+    defaults = {f.name: f.default for f in dataclasses.fields(ResNetSpec)}
+    built = build_problem("resnet", **defaults, n_samples=64, seed=0)
+    ref = resnet_regression()
+    assert built.r == ref.r and np.array_equal(built.x0, ref.x0)
+    for level in range(1, ref.r + 1):
+        x = np.full(ref.hierarchy.dim(level), 0.1)
+        assert np.array_equal(built.exact_grad(level, x), ref.exact_grad(level, x))
+    with pytest.raises(ValueError):
+        build_problem("resnet", depth=3)
 
 
 def test_single_level_keeps_top_level_and_metadata():

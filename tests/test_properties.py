@@ -169,8 +169,8 @@ def test_restrict_is_omega_p_transpose(n_fine, n_coarse, seed, omega):
     op = TransferOperator(rng.standard_normal((n_fine, n_coarse)), omega)
     v = rng.standard_normal(n_fine)
     assert _same_bits(op.restrict(v), omega * (op.P.T @ v))
-    model = build_coherent_model(lambda y: np.zeros_like(y), np.zeros(n_coarse), v, op,
-                                 rg=op.restrict(v))
+    model = build_coherent_model(lambda y: np.zeros_like(y), np.zeros(n_coarse),
+                                 op.restrict(v))
     assert _same_bits(model.anchor_model_grad, omega * (op.P.T @ v))
 
 

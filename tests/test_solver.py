@@ -320,14 +320,20 @@ def _counting_hierarchy():
     return LevelHierarchy([Level(2, grad)], []), calls
 
 
+_FINITE_ONLY = ("alpha", "kappa_B", "step_scale")
+
+
 @pytest.mark.parametrize("field", ["alpha", "kappa_B", "varsigma", "mu", "kappa_R", "tau",
                                    "eps_top", "lower_eps_factor", "step_scale",
                                    "pre_smooth", "i_max_top"])
 def test_nan_constant_rejected_before_first_iteration(field):
-    hier, calls = _counting_hierarchy()
-    with pytest.raises(ValueError):
-        solve(hier, SolverConfig(**{field: float("nan")}), x0=np.ones(2))
-    assert calls == []
+    # constants that must be finite reject infinity as well, which would
+    # otherwise surface mid-solve (step_scale) or void the checks (alpha, kappa_B)
+    for bad in (float("nan"),) + ((float("inf"),) if field in _FINITE_ONLY else ()):
+        hier, calls = _counting_hierarchy()
+        with pytest.raises(ValueError):
+            solve(hier, SolverConfig(**{field: bad}), x0=np.ones(2))
+        assert calls == []
 
 
 def test_nan_constants_rejected_under_optimize_flag():

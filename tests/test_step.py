@@ -136,6 +136,12 @@ def test_hessian_model_rejects_nan_diagonal():
         HessianModel.diagonal([nan, 0.5])
     with pytest.raises(ValueError):
         HessianModel("diagonal", np.array([0.5, nan]), kappa_B=2.0)
+    # an infinite bound would make cauchy_step return the zero step
+    inf = float("inf")
+    with pytest.raises(ValueError):
+        HessianModel.diagonal([inf, 0.5])
+    with pytest.raises(ValueError):
+        HessianModel.zero(kappa_B=inf)
 
 
 def test_taylor_step_rejects_bad_tau():
