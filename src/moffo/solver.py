@@ -381,11 +381,14 @@ def _eval_gradient(rt, level, objective, x, eval_fraction):
 
 def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, g0=None,
                monitor_threshold=None):
-    """One solver call at the given level; returns (x_plus, completed_steps).
+    """One solver call at the given level; returns (x_plus, completed_steps,
+    moved).
 
     objective is the top Level or a lower level's CoherentModel.  g0, when
     given, is the gradient at x0, already evaluated and charged (a coherent
     model's anchor gradient); iteration 0 uses it instead of a fresh draw.
+    moved is P(x_plus - x0) for the operator P to the level above, as the
+    budget guard formed it, and None at the top level.
     """
     cfg = rt.cfg
     r = rt.r
@@ -405,13 +408,16 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, g0=None,
     x0 = np.asarray(x0, dtype=float)
     x = x0.copy()
     x_prev = None
+    moved = None
     i = 0
     while True:
         # Step 1: budget guard, then gradient evaluation and termination tests.
-        if level < r and vector_norm(op_up.prolong(x - x0)) > delta_cap:
-            if x_prev is None:
-                raise InvariantError("movement budget violated at entry")
-            return x_prev, i - 1
+        if level < r:
+            moved_prev, moved = moved, op_up.prolong(x - x0)
+            if vector_norm(moved) > delta_cap:
+                if x_prev is None:
+                    raise InvariantError("movement budget violated at entry")
+                return x_prev, i - 1, moved_prev
         if i == 0 and g0 is not None:
             g = g0
         else:
@@ -430,7 +436,7 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, g0=None,
         if gnorm <= eps or i == i_budget:
             rt.trace.add(level, i, "taylor", gnorm, 0.0, 0.0, 0.0, None, None,
                          rt.ledger.total(), f_diag)
-            return x, i
+            return x, i, moved
 
         # Step 2: weights from the just-evaluated gradient, then the radius.
         # g*g, |g| and min(w) are each formed once and handed to the helpers.
@@ -441,7 +447,7 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, g0=None,
         if monitor_threshold is not None and decrease < monitor_threshold:
             rt.trace.add(level, i, "taylor", gnorm, 0.0, 0.0, 0.0, w_min,
                          float(np.maximum.reduce(w)), rt.ledger.total(), f_diag)
-            return x, i
+            return x, i, moved
         abs_g = np.abs(g)
         tr = compute_radius(w, abs_g, w_min, is_top, delta_cap, up_norm, scale=step_scale)
 
@@ -510,14 +516,15 @@ def _try_recursive(rt, level, op_down, x, g, w, w_min, tr, decrease):
     state = seed_lower_state(cfg.weight_kind, cfg.mu, cfg.nu_resolved(), floors_low,
                              w_low, g0)
     threshold = cfg.kappa_R * decrease if cfg.strict_descent_monitoring else None
-    x_low, completed = _run_level(rt, level - 1, model, x_low0, eps_low, delta_low,
-                                  state, g0=g0, monitor_threshold=threshold)
+    # the lower level's guard has already prolonged its movement x_low - x_low0
+    _, completed, step = _run_level(rt, level - 1, model, x_low0, eps_low, delta_low,
+                                    state, g0=g0, monitor_threshold=threshold)
     if cfg.lower_eps_factor < 1.0 and not completed >= 1:
         raise InvariantError("no iteration completed at the lower level")
     lhs = vector_norm(np.abs(Rg) / w_low)
     if not lhs <= cfg.alpha * delta_norm / op_down.norm * (1.0 + _ASSERT_RTOL):
         raise InvariantError("lower radius budget condition violated")
-    return op_down.prolong(x_low - x_low0)
+    return step
 
 
 def solve(problem, config=None, x0=None):
@@ -544,8 +551,8 @@ def solve(problem, config=None, x0=None):
     rt = _Runtime(hier, cfg, ledger, trace)
     state = WeightState(cfg.weight_kind, cfg.mu, cfg.nu_resolved(), rt.floors[-1],
                         hier.dim(hier.r))
-    x_final, completed = _run_level(rt, hier.r, hier.level(hier.r), x0, cfg.eps_top,
-                                    math.inf, state)
+    x_final, completed, _ = _run_level(rt, hier.r, hier.level(hier.r), x0, cfg.eps_top,
+                                       math.inf, state)
     final_gnorm = trace.top_records()[-1].grad_norm
     if final_gnorm <= cfg.eps_top:
         return SolveResult(x_final, "converged", final_gnorm, completed, trace, ledger)

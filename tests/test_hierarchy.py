@@ -100,6 +100,121 @@ def test_resnet_norms_bit_equal_to_power_iteration():
     assert hier.op(3).norm == 1.999999999980255
 
 
+# The built-in operators with more than 64 coarse columns (the laplacian1d
+# operators of lap255 to lap1023, the default ResNet's and the largest
+# ResNet resnet_regression accepts: width 16, k_coarse 5), with the norms that the
+# dense Gram P.T @ P gave them.
+_STRUCTURED_NORMS = {
+    "interior127": 1.4141603195352719,
+    "interior255": 1.4142002513504135,
+    "interior511": 1.4142102345978484,
+    "resnet-op2": 1.9999999999797942,
+    "resnet-op3": 1.999999999980255,
+    "resnet-w16k5-op2": 1.9999999999887594,
+    "resnet-w16k5-op3": 1.9999999999841545,
+}
+
+
+@pytest.fixture(scope="module")
+def builtin_operators():
+    """Every built-in operator shape, lap31 to lap1023 and both ResNets, by name."""
+    ops = {"interior%d" % n: interior_interpolation_1d(n) for n in (15, 31, 63, 127, 255, 511)}
+    for tag, params in (("resnet", {}), ("resnet-w16k5", {"width": 16, "k_coarse": 5})):
+        hier = build_problem("resnet", **params).hierarchy
+        ops.update({"%s-op%d" % (tag, l): hier.op(l) for l in range(2, hier.r + 1)})
+    return ops
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_builtin_operators_have_a_row_form(builtin_operators):
+    for op in builtin_operators.values():
+        assert op._rows is not None
+        assert (op._gather is not None) == (op.n_coarse > hierarchy._GATHER_MIN_COARSE)
+    assert {name for name, op in builtin_operators.items()
+            if op._gather is not None} == set(_STRUCTURED_NORMS)
+
+
+def test_gather_prolong_bit_equal_to_dense(builtin_operators):
+    rng = np.random.default_rng(11)
+    for op in builtin_operators.values():
+        n = op.n_coarse
+        vectors = [np.zeros(n), -np.zeros(n), np.where(rng.random(n) < 0.5, -1.0, 1.0)]
+        for _ in range(40):
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, size=n)
+            v[rng.random(n) < 0.2] = 0.0
+            v[rng.random(n) < 0.2] = -0.0
+            vectors.append(v)
+        for v in vectors:
+            assert _bits(op.prolong(v)) == _bits(op.P @ v)
+
+
+@pytest.mark.parametrize("name", sorted(_STRUCTURED_NORMS))
+def test_row_form_norm_equals_dense_gram_norm(builtin_operators, name):
+    op = builtin_operators[name]
+    assert _bits(hierarchy._gram(op.P, op._rows)) == _bits(op.P.T @ op.P)
+    assert op.norm == _STRUCTURED_NORMS[name]
+
+
+def _loop_linear(n_coarse):
+    P = np.zeros((2 * n_coarse - 1, n_coarse))
+    for j in range(n_coarse):
+        P[2 * j, j] = 1.0
+    for j in range(n_coarse - 1):
+        P[2 * j + 1, j] = 0.5
+        P[2 * j + 1, j + 1] = 0.5
+    return P
+
+
+def _loop_interior(n_coarse):
+    P = np.zeros((2 * n_coarse + 1, n_coarse))
+    for j in range(n_coarse):
+        P[2 * j + 1, j] = 1.0
+        P[2 * j, j] = 0.5
+        P[2 * j + 2, j] = 0.5
+    return P
+
+
+def _kron_depth(k_coarse, block_size, n_shared, omega):
+    Pt = _loop_linear(k_coarse)
+    P = np.kron(Pt, np.eye(block_size)) if block_size > 1 else Pt.copy()
+    if n_shared:
+        full = np.zeros((P.shape[0] + n_shared, P.shape[1] + n_shared))
+        full[: P.shape[0], : P.shape[1]] = P
+        full[P.shape[0]:, P.shape[1]:] = (1.0 / omega) * np.eye(n_shared)
+        P = full
+    return P
+
+
+def test_interpolations_built_by_index_match_the_loops_and_kron():
+    for n in list(range(2, 40)) + [127, 511]:
+        assert _bits(linear_interpolation_1d(n).P) == _bits(_loop_linear(n))
+        assert _bits(interior_interpolation_1d(n - 1).P) == _bits(_loop_interior(n - 1))
+    for k, block, shared, omega in [(2, 1, 0, 0.5), (2, 3, 0, 0.5), (2, 1, 2, 0.5),
+                                    (3, 42, 38, 0.5), (5, 42, 38, 0.5), (9, 272, 98, 0.5),
+                                    (4, 5, 3, 0.25)]:
+        op = build_depth_prolongation(k, block, shared, omega)
+        assert _bits(op.P) == _bits(_kron_depth(k, block, shared, omega))
+
+
+@pytest.mark.parametrize("edit", ["weight-0.3", "three-entry-row"])
+def test_operator_without_row_form_keeps_the_dense_path(edit):
+    # the default ResNet's 248x164 operator, on which power iteration converges
+    P = build_depth_prolongation(3, 42, 38).P.copy()
+    if edit == "weight-0.3":
+        P[10, 4] = 0.3
+    else:
+        P[10, [4, 5]] = 0.5
+    op = TransferOperator(P, 0.5)
+    assert op._rows is None and op._gather is None
+    norm = hierarchy._power_norm(P)
+    assert norm is not None and op.norm == norm
+    v = np.random.default_rng(2).standard_normal(op.n_coarse)
+    assert _bits(op.prolong(v)) == _bits(P @ v)
+
+
 @pytest.mark.parametrize("n_coarse", [127, 511])
 def test_power_iteration_stops_at_the_cap(monkeypatch, n_coarse):
     calls = []

@@ -8,6 +8,7 @@ import pytest
 
 from moffo.problems import (
     ResNetSpec,
+    _batch_sum,
     build_depth_prolongation,
     build_problem,
     finite_difference_check,
@@ -131,6 +132,15 @@ def test_resnet_layer_counts_and_caps():
     resnet_regression(ResNetSpec(width=4, k_coarse=5, levels=3), n_samples=8)  # 17 ok
 
 
+@pytest.mark.parametrize("K", [3, 5, 9, 17])
+@pytest.mark.parametrize("nb", [16, 32, 64, 33])
+def test_bias_gradient_reduction_bit_equal_to_np_sum(K, nb):
+    rng = np.random.default_rng([K, nb])
+    for _ in range(50):
+        dz = rng.standard_normal((K - 1, nb, 6)) * 10.0 ** rng.integers(-8, 8, size=(K - 1, nb, 1))
+        assert _batch_sum(dz).tobytes() == np.sum(dz, axis=1).tobytes()
+
+
 def test_depth_prolongation_properties():
     op = build_depth_prolongation(2, block_size=3, n_shared=0)
     # layer-constant parameters stay layer-constant
@@ -246,6 +256,26 @@ def test_registry():
         build_problem("nope")
     with pytest.raises(ValueError):
         build_problem("chain1d", bogus=3)
+
+
+@pytest.mark.parametrize("name, params, bad", [
+    ("resnet", {"levels": 0}, "levels"),
+    ("resnet", {"levels": -2}, "levels"),
+    ("resnet", {"k_coarse": 1}, "k_coarse"),
+    ("resnet", {"n_in": 0}, "n_in"),
+    ("resnet", {"n_out": 0}, "n_out"),
+    ("resnet", {"n_samples": 0}, "n_samples"),
+    ("resnet", {"horizon": 0.0}, "horizon"),
+    ("resnet", {"horizon": math.nan}, "horizon"),
+    ("resnet", {"beta1": -1.0}, "beta1"),
+    ("resnet", {"beta2": math.inf}, "beta2"),
+    ("laplacian1d", {"dataset_size": 0}, "dataset_size"),
+    ("laplacian1d", {"noise_scale": math.nan}, "noise_scale"),
+    ("laplacian1d", {"noise_scale": -0.1}, "noise_scale"),
+])
+def test_builders_reject_out_of_range_parameters(name, params, bad):
+    with pytest.raises(ValueError, match=r"^%s must be" % bad):
+        build_problem(name, **params)
 
 
 def test_build_problem_resnet_takes_each_spec_field():
