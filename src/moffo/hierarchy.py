@@ -33,19 +33,34 @@ _DENSE_SVD_MAX = 64
 # is a multiple of 2**-8 of at most 2**8, so any sum of at most 2**37 such
 # products, and each of its partial sums, is exact.
 _EXACT_POWER = 4
-# Up to this many coarse columns the dense BLAS product is faster than the
-# gather, which takes 0.78x its time at 255x127 but 1.38x at 127x63 (one
-# core of a 2-core Xeon).
+# Up to this many coarse columns the dense BLAS products are faster than the
+# gather and the scatter: the gather takes 0.78x the time of P @ v at 255x127
+# but 1.38x at 127x63, the scatter 0.65-0.9x that of P.T @ v at 255x127
+# (one core of a 2-core Xeon).
 _GATHER_MIN_COARSE = 64
 
 
-def _two_entry_rows(P):
-    """Row form (i0, i1, c0, c1) of P, or None when P has no such form.
+def _admits(rows):
+    """Whether (cols, weights) is a row form: the one admission test.
 
-    Row k of P is c0[k] at column i0[k] plus c1[k] at column i1[k], each
-    nonzero c a power of two 2**j with |j| <= _EXACT_POWER.  A two-entry row
-    has i0 < i1, a one-entry row i1 = i0 and c1 = 0; a P with an empty row
-    has no row form.
+    Row k of P is weights[k, 0] at column cols[k, 0] plus weights[k, 1] at
+    column cols[k, 1], with cols[k, 0] < cols[k, 1], or one entry, with both
+    columns equal and weights[k, 1] = 0; every nonzero weight is a power of
+    two 2**j with |j| <= _EXACT_POWER.
+    """
+    cols, weights = rows
+    mant, exp = np.frexp(weights)  # 2**j gives mant 0.5 and exp j + 1, 0 gives 0 and 0
+    power = (mant == 0.5) & (exp > -_EXACT_POWER) & (exp <= _EXACT_POWER + 1)
+    one = weights[:, 1] == 0.0
+    return bool(power[:, 0].all() and (power[:, 1] | one).all()
+                and np.where(one, cols[:, 0] == cols[:, 1], cols[:, 0] < cols[:, 1]).all())
+
+
+def _two_entry_rows(P):
+    """Row form (cols, weights) of a dense P, or None when P has none.
+
+    A P with an empty row, a row of three or more nonzeros, or a weight that
+    _admits rejects has no row form.
     """
     if P.size == 0:
         return None
@@ -54,42 +69,50 @@ def _two_entry_rows(P):
     rows, cols = np.divmod(at, P.shape[1])
     vals = P.ravel()[at]
     nnz = np.bincount(rows, minlength=P.shape[0])
-    mant, exp = np.frexp(vals)  # 2**k gives mant 0.5 and exp k + 1
-    if (not 1 <= nnz.min() <= nnz.max() <= 2 or not (mant == 0.5).all()
-            or not -_EXACT_POWER < exp.min() <= exp.max() <= _EXACT_POWER + 1):
+    if not 1 <= nnz.min() <= nnz.max() <= 2:
         return None
     first = np.cumsum(nnz) - nnz  # index of each row's first entry in cols and vals
     two = nnz == 2
-    second = first + two  # a one-entry row's only entry again
-    return cols[first], cols[second], vals[first], np.where(two, vals[second], 0.0)
+    entries = np.stack((first, first + two), axis=1)  # a one-entry row's only entry twice
+    weights = vals[entries]
+    weights[~two, 1] = 0.0
+    form = cols[entries], weights
+    return form if _admits(form) else None
 
 
-def _gram(P, rows=None):
-    """P^T P for a tall P, P P^T for a wide one.
+def _dense(shape, rows):
+    """The read-only dense matrix of a row form."""
+    cols, weights = rows
+    P = np.zeros(shape)
+    k = np.arange(shape[0])
+    P[k, cols[:, 1]] = weights[:, 1]
+    P[k, cols[:, 0]] = weights[:, 0]  # after column 1, which a one-entry row sets to 0
+    P.setflags(write=False)
+    return P
 
-    With P's row form, P^T P is accumulated from each row's c0**2, c1**2 and
-    c0*c1 at (i0, i0), (i1, i1), (i0, i1) and (i1, i0).  Each product and
-    partial sum is exact (see _EXACT_POWER), so this equals BLAS's P.T @ P
-    bit for bit, whatever order either sums in.
+
+def _gram(n_coarse, rows):
+    """P^T P of an n_coarse-column P from its row form.
+
+    Each row adds c0**2, c1**2, c0*c1 and c1*c0 at (i0, i0), (i1, i1),
+    (i0, i1) and (i1, i0), for columns i0, i1 and weights c0, c1.  Each
+    product and partial sum is exact (see _EXACT_POWER), so this equals
+    BLAS's P.T @ P bit for bit, whatever order either sums in.
     """
-    if P.shape[0] < P.shape[1]:
-        return P @ P.T
-    if rows is None:
-        return P.T @ P
-    i0, i1, c0, c1 = rows
-    n = P.shape[1]
-    at = np.concatenate((i0 * n + i0, i1 * n + i1, i0 * n + i1, i1 * n + i0))
-    c01 = c0 * c1
-    return np.bincount(at, np.concatenate((c0 * c0, c1 * c1, c01, c01)),
-                       minlength=n * n).reshape(n, n)
+    cols, weights = rows
+    left, right = [0, 1, 0, 1], [0, 1, 1, 0]
+    at = cols[:, left] * n_coarse + cols[:, right]
+    return np.bincount(at.ravel(), (weights[:, left] * weights[:, right]).ravel(),
+                       minlength=n_coarse * n_coarse).reshape(n_coarse, n_coarse)
 
 
-def _power_norm(P, rows=None):
-    """Largest singular value of P by power iteration, or None if it stalls.
+def _power_norm(G):
+    """Square root of the largest eigenvalue of a Gram matrix G = P^T P (or
+    P P^T), that is P's largest singular value, by power iteration; None if
+    the iteration stalls.
 
-    Power iteration on the Gram matrix (_gram, from P's row form when one is
-    given), seeded with the all-ones vector for determinism.  With d_k the
-    change of the eigenvalue estimate and rho_k = d_k / d_{k-1} its
+    The iteration is seeded with the all-ones vector for determinism.  With
+    d_k the change of the eigenvalue estimate and rho_k = d_k / d_{k-1} its
     contraction, the change still to come is about d_k * rho_k / (1 - rho_k);
     the estimate is returned once that (or d_k, whichever is larger) is
     within _POWER_TOL of it.  None is returned, for the caller's SVD, once
@@ -99,7 +122,6 @@ def _power_norm(P, rows=None):
     three, because one early contraction near one can be followed by a fast
     one.
     """
-    G = _gram(P, rows)
     v = np.ones(G.shape[0])
     v /= vector_norm(v)
     w = np.empty_like(v)
@@ -135,46 +157,84 @@ class TransferOperator:
     the singular values are computed lazily and cached.  The norm comes
     from the dense SVD for small operators and for those on which power
     iteration stalls, otherwise from power iteration; one SVD per operator
-    serves both that fallback and sigma_min.
+    serves both that fallback and sigma_min.  The constructor keeps a
+    read-only copy of the P it is given.
 
     When every row of P has one or two nonzeros, each a power of two from
     1/16 to 16 (as every interpolation here has), the operator keeps P's row
-    form: per row the columns i0, i1 and weights c0, c1.  Power iteration
-    then forms P^T P from it, and prolong gathers
-    (c0 * v[i0] + c1 * v[i1]) + 0.0 once P has more than 64 columns (below
-    that the dense product is faster).  Both equal the dense results bit for
-    bit: every product by a power of two is exact, a two-term sum rounds
-    once as BLAS's does, and + 0.0 turns a -0 that BLAS never returns into
-    +0.  The one exception is prolonging a vector with subnormal entries,
-    where BLAS's fused multiply-add leaves 0.5 * v[k] unrounded; no solve
-    reaches that range.  restrict stays the dense omega * (P.T @ v), because
-    its three-term column sums round in an order set by the BLAS kernel.
+    form: two (n_fine, 2) arrays, per row the columns i0, i1 and weights
+    c0, c1.  The built-in interpolations are built as row forms, and their
+    dense P is made from it only when something reads P: the SVD behind a
+    small or stalled norm and sigma_min, restriction(), and the dense
+    products below.  Power iteration forms P^T P from the row form.  Once P
+    has more than 64 columns (below that the dense products are faster),
+    prolong gathers (c0 * v[i0] + c1 * v[i1]) + 0.0, and restrict scatters
+    the products c0 * v[k], c1 * v[k] into columns i0, i1 with np.bincount,
+    which adds each column's entries to +0.0 in fine-row order, then scales
+    the sums by omega.
+
+    Both equal the dense P @ v and omega * (P.T @ v) bit for bit with this
+    build's OpenBLAS: every product by a power of two is exact, a two-term
+    sum rounds once as BLAS's does, BLAS adds a column's three entries in
+    fine-row order for the built-in shapes that restrict scatters, and the
+    + 0.0 (or bincount's +0.0 start) turns a -0 that BLAS never returns into
+    +0.  The exceptions are vectors with subnormal entries, where BLAS's
+    fused multiply-add leaves 0.5 * v[k] unrounded (no solve reaches that
+    range), and two shapes whose restriction BLAS sums in another order, so
+    that its last bit may differ: linear_interpolation_1d(n) with n > 64
+    used as an operator itself, and a width-1 ResNet whose shared block
+    takes its coarse dimension past 64.  No problem built here uses either.
     """
 
     def __init__(self, P, omega):
-        P = np.asarray(P, dtype=float)
+        P = np.array(P, dtype=float)  # a copy: the caller's array stays writable
         if P.ndim != 2:
             raise ValueError("prolongation must be a 2-d matrix")
         if not np.isfinite(P).all():
             raise ValueError("prolongation contains non-finite entries")
+        P.setflags(write=False)
+        self._setup(P.shape, _two_entry_rows(P), omega)
+        self._P = P
+
+    @classmethod
+    def _from_rows(cls, shape, rows, omega):
+        """Operator of a builder's row form (cols, weights) of a shape-sized P.
+
+        A form that _admits rejects gives the dense operator of the same P.
+        """
+        if not _admits(rows):
+            return cls(_dense(shape, rows), omega)
+        op = cls.__new__(cls)
+        op._setup(shape, rows, omega)
+        return op
+
+    def _setup(self, shape, rows, omega):
         omega = float(omega)
         if not 0.0 < omega < math.inf:
             raise ValueError("omega must be positive and finite, got %g" % omega)
-        self.P = P
         self.omega = omega
-        self.P.setflags(write=False)
-        self._rows = _two_entry_rows(P)
-        self._gather = self._rows if P.shape[1] > _GATHER_MIN_COARSE else None
+        self._shape = shape
+        self._rows = rows
+        self._P = None
+        # the row form serves prolong and restrict above the cut
+        self._gather = rows if shape[1] > _GATHER_MIN_COARSE else None
         self._norm = None
         self._sv = None
 
     @property
+    def P(self):
+        """The dense prolongation matrix, read-only; made once, when first read."""
+        if self._P is None:
+            self._P = _dense(self._shape, self._rows)
+        return self._P
+
+    @property
     def n_fine(self):
-        return self.P.shape[0]
+        return self._shape[0]
 
     @property
     def n_coarse(self):
-        return self.P.shape[1]
+        return self._shape[1]
 
     def restriction(self):
         """Dense restriction matrix R = omega * P^T."""
@@ -184,12 +244,18 @@ class TransferOperator:
         """Apply P to a finite coarse vector."""
         if self._gather is None:
             return self.P @ v
-        i0, i1, c0, c1 = self._gather
-        return (c0 * v[i0] + c1 * v[i1]) + 0.0
+        cols, weights = self._gather
+        t = weights * v[cols]
+        return (t[:, 0] + t[:, 1]) + 0.0
 
     def restrict(self, v):
-        """Apply R = omega * P^T to a fine vector."""
-        return self.omega * (self.P.T @ v)
+        """Apply R = omega * P^T to a finite fine vector."""
+        if self._gather is None:
+            return self.omega * (self.P.T @ v)
+        cols, weights = self._gather
+        # cols and weights are C-ordered, so ravel lists the entries by fine row
+        return self.omega * np.bincount(cols.ravel(), (weights * v[:, None]).ravel(),
+                                        minlength=self.n_coarse)
 
     def _singular_values(self):
         """All singular values of P in descending order, cached."""
@@ -201,8 +267,14 @@ class TransferOperator:
     def norm(self):
         """Spectral norm of P, cached."""
         if self._norm is None:
-            norm = (_power_norm(self.P, self._rows) if min(self.P.shape) > _DENSE_SVD_MAX
-                    else None)
+            norm = None
+            if min(self._shape) > _DENSE_SVD_MAX:
+                if self._rows is not None:
+                    G = _gram(self.n_coarse, self._rows)
+                else:
+                    P = self.P
+                    G = P @ P.T if P.shape[0] < P.shape[1] else P.T @ P
+                norm = _power_norm(G)
             self._norm = norm if norm is not None else float(self._singular_values()[0])
         return self._norm
 
@@ -215,6 +287,15 @@ class TransferOperator:
         return "TransferOperator(%dx%d, omega=%g)" % (self.n_fine, self.n_coarse, self.omega)
 
 
+def _linear_rows(n_coarse):
+    """Row form of linear_interpolation_1d(n_coarse)'s P: fine row 2j copies
+    coarse point j, fine row 2j + 1 averages points j and j + 1."""
+    if n_coarse < 2:
+        raise ValueError("n_coarse must be >= 2, got %d" % n_coarse)
+    k = np.arange(2 * n_coarse - 1)
+    return (k[:, None] + (0, 1)) // 2, np.array([[1.0, 0.0], [0.5, 0.5]])[k & 1]
+
+
 def linear_interpolation_1d(n_coarse):
     """Piecewise-linear 1D interpolation on a vertex grid, refinement factor two.
 
@@ -222,14 +303,7 @@ def linear_interpolation_1d(n_coarse):
     copied, midpoints are averaged.  Constants are preserved.  omega = 1/2,
     which makes the derived restriction the usual full-weighting stencil.
     """
-    if n_coarse < 2:
-        raise ValueError("n_coarse must be >= 2, got %d" % n_coarse)
-    P = np.zeros((2 * n_coarse - 1, n_coarse))
-    j = np.arange(n_coarse)
-    P[2 * j, j] = 1.0
-    P[2 * j[:-1] + 1, j[:-1]] = 0.5
-    P[2 * j[:-1] + 1, j[1:]] = 0.5
-    return TransferOperator(P, 0.5)
+    return TransferOperator._from_rows((2 * n_coarse - 1, n_coarse), _linear_rows(n_coarse), 0.5)
 
 
 def interior_interpolation_1d(n_coarse):
@@ -242,12 +316,15 @@ def interior_interpolation_1d(n_coarse):
     """
     if n_coarse < 1:
         raise ValueError("n_coarse must be >= 1, got %d" % n_coarse)
-    P = np.zeros((2 * n_coarse + 1, n_coarse))
-    j = np.arange(n_coarse)
-    P[2 * j + 1, j] = 1.0
-    P[2 * j, j] = 0.5
-    P[2 * j + 2, j] = 0.5
-    return TransferOperator(P, 0.5)
+    # fine row 2j + 1 copies coarse node j, fine row 2j averages nodes j - 1 and j
+    k = np.arange(2 * n_coarse + 1)
+    cols = (k[:, None] + (-1, 0)) // 2
+    weights = np.array([[0.5, 0.5], [1.0, 0.0]])[k & 1]
+    # the end rows have one neighbour each
+    cols[0, 0] = 0
+    cols[-1, 1] = n_coarse - 1
+    weights[[0, -1], 1] = 0.0
+    return TransferOperator._from_rows((k.size, n_coarse), (cols, weights), 0.5)
 
 
 class Level:

@@ -20,8 +20,8 @@ from .hierarchy import (
     Level,
     LevelHierarchy,
     TransferOperator,
+    _linear_rows,
     interior_interpolation_1d,
-    linear_interpolation_1d,
 )
 
 __all__ = [
@@ -308,16 +308,19 @@ def build_depth_prolongation(k_coarse, block_size=1, n_shared=0, omega=0.5):
     axis; shared (time-independent) trailing coordinates are prolonged by
     1/omega so the derived restriction leaves them untouched.
     """
-    Pt = linear_interpolation_1d(k_coarse).P
-    rows, cols = np.nonzero(Pt)
-    n_fine, n_coarse = Pt.shape[0] * block_size, Pt.shape[1] * block_size
-    P = np.zeros((n_fine + n_shared, n_coarse + n_shared))
-    # block (a, b) of P is Pt[a, b] * I, as in np.kron(Pt, np.eye(block_size))
-    t = np.arange(block_size)
-    P[(rows * block_size)[:, None] + t, (cols * block_size)[:, None] + t] = Pt[rows, cols][:, None]
-    t = np.arange(n_shared)
-    P[n_fine + t, n_coarse + t] = 1.0 / omega
-    return TransferOperator(P, omega)
+    layer_cols, layer_weights = _linear_rows(k_coarse)
+    n_fine, n_coarse = layer_cols.shape[0] * block_size, k_coarse * block_size
+    cols = np.empty((n_fine + n_shared, 2), dtype=layer_cols.dtype)
+    weights = np.empty((n_fine + n_shared, 2))
+    # fine row a * block_size + t is layer row a of the 1D stencil on
+    # coordinate t, as in np.kron(P_1d, np.eye(block_size))
+    cols[:n_fine] = (layer_cols[:, None] * block_size
+                     + np.arange(block_size)[:, None]).reshape(n_fine, 2)
+    weights[:n_fine] = np.repeat(layer_weights, block_size, axis=0)
+    cols[n_fine:] = (n_coarse + np.arange(n_shared))[:, None]
+    weights[n_fine:] = 1.0 / omega, 0.0
+    return TransferOperator._from_rows((n_fine + n_shared, n_coarse + n_shared),
+                                       (cols, weights), omega)
 
 
 def _unpack_resnet(x, spec, K):

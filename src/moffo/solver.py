@@ -156,8 +156,9 @@ class CostLedger:
         self._weights = 2.0 ** (np.arange(1, self.r + 1) - self.r)
 
     def add(self, level, fraction):
-        if fraction < 0:
-            raise ValueError("cost increments must be nonnegative")
+        if not 0 <= fraction < math.inf:
+            raise ValueError("cost increments must be finite and nonnegative, got %r"
+                             % fraction)
         self.counts[level - 1] += fraction
 
     def count(self, level):

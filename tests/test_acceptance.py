@@ -210,10 +210,13 @@ def test_criterion_05_linear_coherence_identity():
 def test_criterion_06_multilevel_benefit():
     # As stated: noiseless 255-point Laplacian, 3 levels, AdaGrad-like
     # mu = 1/2, shared tuned step scale; multilevel must reach the target at
-    # <= single-level cost / 1.2.  Expected to fail: the recursion veto
-    # correctly recognises that coarse corrections cannot beat fine smoothing
-    # on this stiff quadratic, so the multilevel run ties single level at
-    # best (see notes for the full study).
+    # <= single-level cost / 1.2.  Expected to fail: every recursion attempt
+    # is vetoed, so the multilevel run ties single level.  The vetoes come
+    # from how step_scale enters the lower-level weights, not from the
+    # problem: the veto's left side, sum(Rg**2 / w_low), scales with
+    # step_scale and its right side does not, and over the first 100
+    # attempts their median ratio is 0.58 here against 23.3 at step_scale 1
+    # (see README).
     t0 = time.perf_counter()
     problem = laplacian_quadratic_1d(n_fine=255, levels=3)
     g0 = float(np.linalg.norm(problem.exact_grad(3, problem.x0)))

@@ -1,5 +1,7 @@
 """Transfer operators, interpolation stencils, and coherent models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,8 @@ def test_linear_interpolation_midpoints_and_constants():
 def test_linear_interpolation_rejects_small():
     with pytest.raises(ValueError):
         linear_interpolation_1d(1)
+    with pytest.raises(ValueError, match="n_coarse"):
+        build_depth_prolongation(1, 3, 2)
 
 
 def test_operator_norms_identity_and_diagonal():
@@ -103,7 +107,8 @@ def test_resnet_norms_bit_equal_to_power_iteration():
 # The built-in operators with more than 64 coarse columns (the laplacian1d
 # operators of lap255 to lap1023, the default ResNet's and the largest
 # ResNet resnet_regression accepts: width 16, k_coarse 5), with the norms that the
-# dense Gram P.T @ P gave them.
+# dense Gram P.T @ P gave them.  These are the operators that gather and
+# scatter instead of multiplying by the dense P.
 _STRUCTURED_NORMS = {
     "interior127": 1.4141603195352719,
     "interior255": 1.4142002513504135,
@@ -117,10 +122,12 @@ _STRUCTURED_NORMS = {
 
 @pytest.fixture(scope="module")
 def builtin_operators():
-    """Every built-in operator shape, lap31 to lap1023 and both ResNets, by name."""
+    """Every built-in operator shape, lap31 to lap1023, chain63 and both ResNets, by name."""
     ops = {"interior%d" % n: interior_interpolation_1d(n) for n in (15, 31, 63, 127, 255, 511)}
-    for tag, params in (("resnet", {}), ("resnet-w16k5", {"width": 16, "k_coarse": 5})):
-        hier = build_problem("resnet", **params).hierarchy
+    for tag, name, params in (("chain63", "chain1d", {"n_fine": 63, "levels": 3}),
+                              ("resnet", "resnet", {}),
+                              ("resnet-w16k5", "resnet", {"width": 16, "k_coarse": 5})):
+        hier = build_problem(name, **params).hierarchy
         ops.update({"%s-op%d" % (tag, l): hier.op(l) for l in range(2, hier.r + 1)})
     return ops
 
@@ -137,24 +144,34 @@ def test_builtin_operators_have_a_row_form(builtin_operators):
             if op._gather is not None} == set(_STRUCTURED_NORMS)
 
 
+def _test_vectors(rng, n):
+    """+0, -0 and +-1 vectors (whose stencil sums can cancel to 0), then
+    vectors of magnitudes 1e-200 to 1e200 with +0 and -0 entries."""
+    vectors = [np.zeros(n), -np.zeros(n), np.where(rng.random(n) < 0.5, -1.0, 1.0)]
+    for _ in range(40):
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, size=n)
+        v[rng.random(n) < 0.2] = 0.0
+        v[rng.random(n) < 0.2] = -0.0
+        vectors.append(v)
+    return vectors
+
+
 def test_gather_prolong_bit_equal_to_dense(builtin_operators):
+    # restrict's scatter adds each column's entries in fine-row order, the
+    # order in which BLAS sums the columns of these shapes
     rng = np.random.default_rng(11)
     for op in builtin_operators.values():
-        n = op.n_coarse
-        vectors = [np.zeros(n), -np.zeros(n), np.where(rng.random(n) < 0.5, -1.0, 1.0)]
-        for _ in range(40):
-            v = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, size=n)
-            v[rng.random(n) < 0.2] = 0.0
-            v[rng.random(n) < 0.2] = -0.0
-            vectors.append(v)
-        for v in vectors:
-            assert _bits(op.prolong(v)) == _bits(op.P @ v)
+        P = op.P
+        for v in _test_vectors(rng, op.n_coarse):
+            assert _bits(op.prolong(v)) == _bits(P @ v)
+        for g in _test_vectors(rng, op.n_fine):
+            assert _bits(op.restrict(g)) == _bits(op.omega * (P.T @ g))
 
 
 @pytest.mark.parametrize("name", sorted(_STRUCTURED_NORMS))
 def test_row_form_norm_equals_dense_gram_norm(builtin_operators, name):
     op = builtin_operators[name]
-    assert _bits(hierarchy._gram(op.P, op._rows)) == _bits(op.P.T @ op.P)
+    assert _bits(hierarchy._gram(op.n_coarse, op._rows)) == _bits(op.P.T @ op.P)
     assert op.norm == _STRUCTURED_NORMS[name]
 
 
@@ -188,31 +205,74 @@ def _kron_depth(k_coarse, block_size, n_shared, omega):
     return P
 
 
+def _assert_built(op, reference):
+    """op's dense P is reference, and its emitted row form is the one the
+    dense P gives."""
+    assert _bits(op.P) == _bits(reference)
+    assert not op.P.flags.writeable
+    derived = hierarchy._two_entry_rows(reference)
+    for emitted, expected in zip(op._rows, derived, strict=True):
+        assert emitted.dtype == expected.dtype and _bits(emitted) == _bits(expected)
+
+
 def test_interpolations_built_by_index_match_the_loops_and_kron():
     for n in list(range(2, 40)) + [127, 511]:
-        assert _bits(linear_interpolation_1d(n).P) == _bits(_loop_linear(n))
-        assert _bits(interior_interpolation_1d(n - 1).P) == _bits(_loop_interior(n - 1))
+        _assert_built(linear_interpolation_1d(n), _loop_linear(n))
+        _assert_built(interior_interpolation_1d(n - 1), _loop_interior(n - 1))
     for k, block, shared, omega in [(2, 1, 0, 0.5), (2, 3, 0, 0.5), (2, 1, 2, 0.5),
                                     (3, 42, 38, 0.5), (5, 42, 38, 0.5), (9, 272, 98, 0.5),
                                     (4, 5, 3, 0.25)]:
-        op = build_depth_prolongation(k, block, shared, omega)
-        assert _bits(op.P) == _bits(_kron_depth(k, block, shared, omega))
+        _assert_built(build_depth_prolongation(k, block, shared, omega),
+                      _kron_depth(k, block, shared, omega))
 
 
-@pytest.mark.parametrize("edit", ["weight-0.3", "three-entry-row"])
+@pytest.mark.parametrize("edit", ["weight-0.3", "three-entry-row", "builder-omega-0.3"])
 def test_operator_without_row_form_keeps_the_dense_path(edit):
-    # the default ResNet's 248x164 operator, on which power iteration converges
-    P = build_depth_prolongation(3, 42, 38).P.copy()
-    if edit == "weight-0.3":
-        P[10, 4] = 0.3
+    if edit == "builder-omega-0.3":
+        # the builder's row form has shared weights 1/0.3, which _admits rejects
+        op = build_depth_prolongation(3, 6, 4, omega=0.3)
+        P = _kron_depth(3, 6, 4, 0.3)
     else:
-        P[10, [4, 5]] = 0.5
-    op = TransferOperator(P, 0.5)
+        # the default ResNet's 248x164 operator, on which power iteration converges
+        P = build_depth_prolongation(3, 42, 38).P.copy()
+        if edit == "weight-0.3":
+            P[10, 4] = 0.3
+        else:
+            P[10, [4, 5]] = 0.5
+        op = TransferOperator(P, 0.5)
+        norm = hierarchy._power_norm(P.T @ P)
+        assert norm is not None and op.norm == norm
     assert op._rows is None and op._gather is None
-    norm = hierarchy._power_norm(P)
-    assert norm is not None and op.norm == norm
-    v = np.random.default_rng(2).standard_normal(op.n_coarse)
+    assert _bits(op.P) == _bits(P)
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal(op.n_coarse)
     assert _bits(op.prolong(v)) == _bits(P @ v)
+    g = rng.standard_normal(op.n_fine)
+    assert _bits(op.restrict(g)) == _bits(op.omega * (P.T @ g))
+
+
+def test_constructor_keeps_a_read_only_copy():
+    P = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+    op = TransferOperator(P, 0.5)
+    P[1, 0] = 7.0  # the caller's array stays writable
+    assert op.P[1, 0] == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        op.P[1, 0] = 7.0
+
+
+def test_largest_resnet_holds_no_dense_transfer():
+    # The dense P of the width-16, k_coarse 5 ResNet's two operators take
+    # 96 and 30 MB; the row forms, the norms' Gram matrices being freed,
+    # leave about 1 MB.
+    tracemalloc.start()
+    try:
+        hier = build_problem("resnet", width=16, k_coarse=5).hierarchy
+        norms = [hier.op(l).norm for l in (2, 3)]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norms == [_STRUCTURED_NORMS["resnet-w16k5-op2"], _STRUCTURED_NORMS["resnet-w16k5-op3"]]
+    assert held < 8e6
 
 
 @pytest.mark.parametrize("n_coarse", [127, 511])
@@ -239,7 +299,7 @@ def _counted_power_norm(monkeypatch, P):
         return vector_norm(v)
 
     monkeypatch.setattr(hierarchy, "vector_norm", counting_norm)
-    norm = hierarchy._power_norm(P)
+    norm = hierarchy._power_norm(P.T @ P)
     # one call normalizes the start vector, then one per iteration
     return norm, len(calls) - 1
 

@@ -1,6 +1,7 @@
 """Recursive driver: termination, cycles, cost accounting, invariants."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -68,6 +69,15 @@ def test_cost_ledger_v_cycle_arithmetic():
         ledger.add(level, 1.0)
     assert ledger.total() == pytest.approx(1.75)
     assert ledger.count(2) == 1.0
+
+
+@pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -1.0])
+def test_cost_ledger_rejects_non_finite_and_negative_increments(fraction):
+    ledger = CostLedger(2)
+    ledger.add(2, 1.0)
+    with pytest.raises(ValueError, match="cost increments .*got %s" % re.escape(repr(fraction))):
+        ledger.add(1, fraction)
+    assert ledger.total() == 1.0
 
 
 def test_cycle_shape_patterns():
