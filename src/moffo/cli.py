@@ -20,6 +20,7 @@ import numpy as np
 
 from . import bounds, problems
 from .solver import SolverConfig, solve
+from .step import vector_norm
 from .weights import ADAGRAD_LIKE
 
 __all__ = [
@@ -275,27 +276,31 @@ def _apply_noise(problem, noise, run_seed):
 
 
 def sgd_baseline(grad, x0, lr, steps, eps, eval_fraction=1.0):
-    """Plain gradient descent with a fixed learning rate on one level."""
+    """Plain gradient descent with a fixed learning rate on one level.
+
+    grad returns contiguous 1-D float arrays, as every Level oracle does.
+    """
     x = np.asarray(x0, dtype=float).copy()
     cost = 0.0
     for i in range(steps + 1):
         g = grad(x)
         cost += eval_fraction
-        gnorm = float(np.linalg.norm(g))
+        gnorm = vector_norm(g)
         if gnorm <= eps or i == steps:
             return x, gnorm, cost, i
         x = x - lr * g
 
 
 def adagrad_oracle_baseline(grad, x0, steps, eps, varsigma=0.01, eval_fraction=1.0):
-    """Reference momentum-less AdaGrad loop with per-coordinate accumulators."""
+    """Reference momentum-less AdaGrad loop with per-coordinate accumulators;
+    grad is as for sgd_baseline."""
     x = np.asarray(x0, dtype=float).copy()
     acc = np.zeros_like(x)
     cost = 0.0
     for i in range(steps + 1):
         g = grad(x)
         cost += eval_fraction
-        gnorm = float(np.linalg.norm(g))
+        gnorm = vector_norm(g)
         if gnorm <= eps or i == steps:
             return x, gnorm, cost, i
         acc += g * g

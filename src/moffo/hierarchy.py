@@ -165,9 +165,9 @@ class TransferOperator:
     form: two (n_fine, 2) arrays, per row the columns i0, i1 and weights
     c0, c1.  The built-in interpolations are built as row forms, and their
     dense P is made from it only when something reads P: the SVD behind a
-    small or stalled norm and sigma_min, restriction(), and the dense
-    products below.  Power iteration forms P^T P from the row form.  Once P
-    has more than 64 columns (below that the dense products are faster),
+    small or stalled norm and sigma_min, and the dense products below.
+    Power iteration forms P^T P from the row form.  Once P has more than 64
+    columns (below that the dense products are faster),
     prolong gathers (c0 * v[i0] + c1 * v[i1]) + 0.0, and restrict scatters
     the products c0 * v[k], c1 * v[k] into columns i0, i1 with np.bincount,
     which adds each column's entries to +0.0 in fine-row order, then scales
@@ -235,10 +235,6 @@ class TransferOperator:
     @property
     def n_coarse(self):
         return self._shape[1]
-
-    def restriction(self):
-        """Dense restriction matrix R = omega * P^T."""
-        return self.omega * self.P.T
 
     def prolong(self, v):
         """Apply P to a finite coarse vector."""

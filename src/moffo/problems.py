@@ -4,7 +4,7 @@ Problems bundle a LevelHierarchy with metadata (exact Lipschitz constant and
 lower bound when known, dataset size for sum-structured objectives) plus a
 default starting point.  Oracles are deterministic; stochastic variants are
 obtained through the minibatch and Gaussian-noise wrappers, which draw from
-per-level seeded streams, one draw per call.
+per-level seeded streams, one fresh sample per call.
 """
 
 from __future__ import annotations
@@ -202,7 +202,9 @@ def laplacian_quadratic_1d(n_fine=255, levels=3, dataset_size=40, noise_scale=0.
     z = [None] * levels
     z[-1] = noise_scale * float(np.max(np.abs(b[-1]))) * zeta
     for k in range(levels - 1, 0, -1):
-        z[k - 1] = z[k] @ ops[k - 1].restriction().T
+        # one restrict per sample: a matrix product's rounding would depend
+        # on the number of BLAS threads
+        z[k - 1] = np.array([ops[k - 1].restrict(row) for row in z[k]])
 
     levels_list = []
     sampled = []
@@ -218,8 +220,9 @@ def laplacian_quadratic_1d(n_fine=255, levels=3, dataset_size=40, noise_scale=0.
             return 0.5 * float(x @ _laplacian_apply(x, h)) - float(bk @ x)
 
         def sgrad(x, idx, h=h, bk=bk, zk=zk):
-            # the arithmetic of zk[idx].mean(axis=0), without its wrapper
-            return _laplacian_apply(x, h) - bk + zk.take(idx, axis=0).sum(axis=0) / idx.size
+            # the arithmetic of zk[idx].mean(axis=0), without its wrappers
+            noise = np.add.reduce(zk.take(idx, axis=0), axis=0) / idx.size
+            return _laplacian_apply(x, h) - bk + noise
 
         levels_list.append(Level(n, grad, value))
         sampled.append(sgrad)
@@ -460,12 +463,60 @@ def resnet_regression(spec=None, n_samples=64, seed=0):
                             sampled_grads=sampled, dataset=(Y, C))
 
 
+# calls whose index sets the minibatch sampler draws at once
+_SAMPLE_BLOCK = 64
+
+
+def _index_sets(stream, nd, nb):
+    """Yield, call after call, the index sets that
+    stream.choice(nd, size=nb, replace=False) would return, drawn
+    _SAMPLE_BLOCK calls at a time.
+
+    For these sizes choice runs Floyd's sampling algorithm, then a
+    Fisher-Yates shuffle.  Each step draws one bounded integer, in a fixed
+    order: Floyd's step t from [0, nd - nb + t] for t = 0 .. nb - 1, then the
+    shuffle's step i from [0, i] for i = nb - 1 down to 1.  One
+    stream.integers call over a block's bounds makes the same draws from the
+    stream, and the duplicate rule and the swaps are then applied to the
+    whole block one step at a time.  Where choice instead shuffles the tail
+    of a full permutation (nd > 10000 and nb > nd // 50), each set is drawn
+    by choice itself.
+    """
+    if nd > 10000 and nb > nd // 50:
+        while True:
+            yield stream.choice(nd, size=nb, replace=False)
+    base = nd - nb
+    bounds = np.tile(np.concatenate((base + np.arange(nb), np.arange(nb - 1, 0, -1))),
+                     (_SAMPLE_BLOCK, 1))
+    row_start = nb * np.arange(_SAMPLE_BLOCK)
+    while True:
+        draws = stream.integers(0, bounds, endpoint=True, dtype=np.int64)
+        idx = draws[:, :nb].copy()
+        # Floyd's step t keeps its draw unless an earlier step took that
+        # index, and then takes base + t, which no earlier step can have
+        for t in range(1, nb):
+            col = idx[:, t]
+            np.copyto(col, base + t,
+                      where=np.logical_or.reduce(idx[:, :t] == col[:, None], axis=1))
+        # the shuffle's step i swaps entry i with the entry its draw names
+        flat = idx.ravel()
+        for i in range(nb - 1, 0, -1):
+            there = row_start + draws[:, 2 * nb - 1 - i]
+            here = row_start + i
+            moved = flat[there]
+            flat[there] = flat[here]
+            flat[here] = moved
+        yield from idx
+
+
 def with_minibatch(problem, batch_fraction, seed):
     """Subsampled-gradient wrapper: one fresh draw per oracle call.
 
     Each call samples ceil(fraction * |D|) indices without replacement from
     a per-level seeded stream and charges the ledger that fraction of a full
-    gradient.  fraction = 1 short-circuits to the exact oracle.
+    gradient.  The index sets are those of one
+    stream.choice(|D|, size, replace=False) per call, drawn in blocks (see
+    _index_sets).  fraction = 1 short-circuits to the exact oracle.
     """
     if problem.sampled_grads is None or problem.dataset_size is None:
         raise ValueError("problem %r is not sum-structured" % problem.name)
@@ -479,11 +530,10 @@ def with_minibatch(problem, batch_fraction, seed):
         if nb == nd:
             noisy = lvl.grad
         else:
-            stream = np.random.default_rng([int(seed), l])
+            index_sets = _index_sets(np.random.default_rng([int(seed), l]), nd, nb)
 
-            def noisy(x, sgrad=sgrad, stream=stream):
-                idx = stream.choice(nd, size=nb, replace=False)
-                return sgrad(x, idx)
+            def noisy(x, sgrad=sgrad, index_sets=index_sets):
+                return sgrad(x, next(index_sets))
 
         levels.append(Level(lvl.n, noisy, lvl.value, eval_fraction=nb / nd))
     return dataclasses.replace(problem, hierarchy=LevelHierarchy(levels, root.hierarchy.operators),

@@ -471,7 +471,9 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, g0=None,
                 eff = min(1.0, float(abs_g.dot(tr.delta)) / decrease)
                 bound = (-(tau * rt.varsigma_min / (2.0 * cfg.kappa_B)) * eff * decrease
                          + 0.5 * cfg.kappa_B * tr.delta_norm ** 2)
-                lhs = float(g @ s)
+                # g.dot(s) is g @ s up to the sign of a zero, which the
+                # comparison does not see
+                lhs = float(g.dot(s))
                 if not lhs <= bound + _ASSERT_RTOL * (1.0 + abs(bound)):
                     raise InvariantError("linear decrease bound violated at a Taylor iteration")
 

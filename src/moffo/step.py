@@ -155,11 +155,16 @@ def taylor_step(g, delta, B, tau):
     delta = np.asarray(delta, dtype=float)
     if B.kind == "zero":
         s = linear_step(g, delta)
-        m = float(g @ s)
+        # g.dot(s) is g @ s up to the sign of a zero, which no test below sees
+        m = float(g.dot(s))
     else:
         s = cauchy_step(g, delta, B)
         m = B.model(g, s)
-    if not np.logical_and.reduce(np.abs(s) <= delta * (1.0 + _SLACK) + _SLACK):
+    abs_s = np.abs(s)
+    # |s| <= delta implies the slack-widened bound, so that one is formed
+    # only when the plain test fails
+    if (not np.logical_and.reduce(abs_s <= delta)
+            and not np.logical_and.reduce(abs_s <= delta * (1.0 + _SLACK) + _SLACK)):
         raise InvariantError("step left the trust region")
     if not m <= tau * m + _SLACK * (1.0 + abs(m)):
         raise InvariantError("decrease condition violated")

@@ -73,13 +73,20 @@ class WeightState:
         self.i = 0
         # accumulator: sum of squares (adagrad_like) or running max (maxgi)
         self.acc = np.zeros(dim)
-        self.c = np.zeros(dim) if base_offset is None else np.asarray(base_offset, dtype=float)
-        if not self.c.min() >= 0.0:
-            raise ValueError("base offsets must be nonnegative")
         # varsigma + c + acc evaluates left to right, so the constant part
-        # can be summed once.
-        self._shift = self.varsigma + self.c
+        # is summed once; with no offset c it is varsigma, whose entries are
+        # positive, so adding zeros would change no bit
+        self._shift = self.varsigma
+        if base_offset is not None:
+            self._set_offset(base_offset)
         self.w0 = None if w0 is None else np.array(w0, dtype=float)
+
+    def _set_offset(self, base_offset):
+        """Take base_offset, which must be nonnegative, as the offsets c."""
+        c = np.asarray(base_offset, dtype=float)
+        if not c.min() >= 0.0:
+            raise ValueError("base offsets must be nonnegative")
+        self._shift = self.varsigma + c
 
     def update(self, g, gg):
         """Fold the current gradient g, with its squares gg = g * g, in and
@@ -150,9 +157,8 @@ def seed_lower_state(kind, mu, nu, varsigma, w0, g0):
     g0 = np.asarray(g0, dtype=float)
     if w0.shape != g0.shape:
         raise ValueError("w0 and g0 must have the same shape")
-    dim = w0.shape[0]
-    floors = as_floor_vector(varsigma, dim)
-    offset = None
+    # the state validates the floors once, and the offset reads its vector
+    state = WeightState(kind, mu, nu, varsigma, w0.shape[0], w0=w0)
     if kind == ADAGRAD_LIKE:
-        offset = np.maximum(0.0, w0 ** (1.0 / mu) - floors - g0 * g0)
-    return WeightState(kind, mu, nu, floors, dim, w0=w0, base_offset=offset)
+        state._set_offset(np.maximum(0.0, w0 ** (1.0 / mu) - state.varsigma - g0 * g0))
+    return state

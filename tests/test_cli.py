@@ -4,10 +4,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import moffo
 from moffo import problems
 from moffo.cli import (
     _SOLVER_KEYS,
@@ -250,11 +253,14 @@ def test_trace_csv_golden_digest(tmp_path, levels):
 # product once, pins post-smoothing, tau < 1, the f_diag column (lap31
 # cases, both with capped lower radii) and accepted recursions on lap255.
 # The lap255-kappa and minibatch digests were re-recorded when the norm of
-# lap255's 255x127 prolongation became exact (see _GOLDEN_OLD_NORM).
+# lap255's 255x127 prolongation became exact (see _GOLDEN_OLD_NORM).  Both
+# minibatch digests were re-recorded again when the Laplacian's per-sample
+# offsets began to be restricted one sample at a time, which gives the
+# single-threaded BLAS product's bits at any thread count.
 _GOLDEN_PATHS = {
     "resnet-3": "597a9a7163060e972109f3ba74951d65e842706513cff67361d02ddd5cf4ed5b",
     "resnet-1": "5983737377a9d275cd479717415d996acb15fa4f960ca2823a3594143d220b62",
-    "minibatch": "1f136239bd8f1460f1d437f65ebfd911d20563cf5e1de48d374294c71e5d0914",
+    "minibatch": "a50543939fd60946e0c0904dcb53f7dee9a4ca118a2d331331c824ccd6ae989b",
     "chain-maxgi": "3700ac75cd777c3a1a88482185c808069189a93b68e8b8e3f1933ff2e07c25b3",
     "lap31-post-smooth": "0151a21ecdd0582abbb482a78e3c85c9c11259a0cf72ddce8cbd542cf63a1471",
     "quadratic-tau": "dc8283b57c97b81fad5eacf0cea8cf14e1673a38f874a2118adb634c1e2fbd2c",
@@ -272,7 +278,7 @@ _SINGLE_LEVEL_CASES = ("resnet-1", "quadratic-tau")
 _OLD_LAP255_NORM = 1.4141602608952275
 _GOLDEN_OLD_NORM = {
     "lap255-kappa": "950166d74a3317d87fc2454955930303c029df3d94359988fbc54ace700fd7ab",
-    "minibatch": "86a376901c1bbe85c2a789bb1cea2d8870d6b138b080c1b61b27e8ee0840f872",
+    "minibatch": "3ca35026e70229e9f6d5eb3e093b0da7bd4bd26dccff98b880563ae5627c944c",
 }
 
 
@@ -328,6 +334,26 @@ def test_trace_csv_golden_digest_old_lap255_norm(tmp_path, case):
     path = tmp_path / "trace.csv"
     write_trace_csv(res.trace, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_OLD_NORM[case]
+
+
+_THREADED_MINIBATCH_SOLVE = """
+import sys
+import test_cli
+from moffo.cli import write_trace_csv
+write_trace_csv(test_cli._golden_solve("minibatch").trace, sys.argv[1])
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_minibatch_digest_independent_of_blas_threads(tmp_path, threads):
+    # OpenBLAS reads its thread count when numpy loads, hence a fresh
+    # interpreter per count
+    paths = [os.path.dirname(os.path.dirname(moffo.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(paths))
+    path = tmp_path / "trace.csv"
+    subprocess.run([sys.executable, "-c", _THREADED_MINIBATCH_SOLVE, str(path)],
+                   env=env, check=True, timeout=300)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_PATHS["minibatch"]
 
 
 # sha256 of the trace CSVs of a minibatch `moffo run` with three baselines,

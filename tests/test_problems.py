@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from moffo.problems import (
+    _SAMPLE_BLOCK,
     ResNetSpec,
     _batch_sum,
+    _index_sets,
     build_depth_prolongation,
     build_problem,
     finite_difference_check,
@@ -152,13 +154,13 @@ def test_depth_prolongation_properties():
     fine2 = op.prolong(np.concatenate([a, b]))
     assert np.allclose(fine2[3:6], 0.5 * (a + b))
     # R P equals omega P^T P against the dense oracle
-    lhs = op.restriction() @ op.P
+    lhs = np.column_stack([op.restrict(p) for p in op.P.T])  # R P, column by column
     assert np.allclose(lhs, op.omega * op.P.T @ op.P, atol=1e-14)
 
 
 def test_depth_prolongation_shared_identity_restriction():
     op = build_depth_prolongation(2, block_size=1, n_shared=2, omega=0.5)
-    R = op.restriction()
+    R = op.omega * op.P.T
     fine = np.array([1.0, 2.0, 3.0, 7.0, -5.0])  # 3 layers + 2 shared
     coarse = R @ fine
     assert np.allclose(coarse[-2:], [7.0, -5.0])  # shared block untouched
@@ -206,6 +208,30 @@ def test_minibatch_determinism_and_freshness():
     b1 = w2.hierarchy.level(1).grad(x)
     assert not np.array_equal(a1, a2)  # fresh draw per call
     assert np.array_equal(a1, b1)      # same seed, same stream
+
+
+@pytest.mark.parametrize("nd, nb", [(2, 1), (40, 1), (40, 10), (40, 39), (64, 16),
+                                    (512, 128), (10001, 150), (20000, 500)])
+def test_index_sets_are_generator_choice_call_for_call(nd, nb):
+    # (10001, 150) is the largest Floyd case at that size; (20000, 500) is
+    # on choice's tail-shuffle branch
+    sets = _index_sets(np.random.default_rng(11), nd, nb)
+    stream = np.random.default_rng(11)
+    for _ in range(3 * _SAMPLE_BLOCK + 1):  # across three block boundaries
+        expected = stream.choice(nd, size=nb, replace=False)
+        got = next(sets)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_minibatch_oracle_samples_as_generator_choice():
+    problem = laplacian_quadratic_1d(n_fine=15, levels=2, dataset_size=40)
+    wrapped = with_minibatch(problem, 0.25, seed=4)
+    stream = np.random.default_rng([4, 2])  # the top level's stream
+    x = np.random.default_rng(1).standard_normal(15)
+    for _ in range(_SAMPLE_BLOCK + 3):
+        idx = stream.choice(40, size=10, replace=False)
+        assert np.array_equal(wrapped.hierarchy.level(2).grad(x),
+                              problem.sampled_grads[1](x, idx))
 
 
 def test_minibatch_requires_sum_structure():

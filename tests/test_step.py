@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from moffo import step
 from moffo.step import (
     HessianModel,
     cauchy_step,
@@ -147,6 +148,26 @@ def test_hessian_model_rejects_nan_diagonal():
 def test_taylor_step_rejects_bad_tau():
     with pytest.raises(ValueError):
         taylor_step(np.ones(2), np.ones(2), HessianModel.zero(), 0.0)
+
+
+@pytest.mark.parametrize("scale, factor, raises", [
+    (1.0, 1.0, False),
+    (1.0, 1.0 + 1e-13, False),    # inside the relative slack
+    (1e-15, 2.0, False),          # inside the absolute slack
+    (1.0, 1.0 + 1e-11, True),
+    (1e-15, 1e4, True),
+])
+def test_taylor_step_box_check_keeps_its_slack(monkeypatch, scale, factor, raises):
+    linear = step.linear_step
+    monkeypatch.setattr(step, "linear_step", lambda g, delta: factor * linear(g, delta))
+    g = np.array([1.0, -2.0, 0.0])
+    delta = scale * np.array([0.5, 3.0, 1.0])
+    if raises:
+        with pytest.raises(step.InvariantError, match="left the trust region"):
+            taylor_step(g, delta, HessianModel.zero(), 1.0)
+    else:
+        assert np.array_equal(taylor_step(g, delta, HessianModel.zero(), 1.0),
+                              factor * linear(g, delta))
 
 
 def test_nan_rejected_at_component_boundaries():
