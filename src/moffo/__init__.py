@@ -6,8 +6,8 @@ from .hierarchy import (
     LevelHierarchy,
     TransferOperator,
     build_coherent_model,
+    build_depth_prolongation,
     interior_interpolation_1d,
-    linear_interpolation_1d,
 )
 from .weights import (
     ADAGRAD_LIKE,
@@ -51,7 +51,6 @@ from .bounds import (
 from .problems import (
     ProblemHierarchy,
     ResNetSpec,
-    build_depth_prolongation,
     build_problem,
     finite_difference_check,
     laplacian_quadratic_1d,

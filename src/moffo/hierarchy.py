@@ -21,63 +21,19 @@ __all__ = [
     "Level",
     "LevelHierarchy",
     "CoherentModel",
-    "linear_interpolation_1d",
     "interior_interpolation_1d",
+    "build_depth_prolongation",
     "build_coherent_model",
 ]
 
 _POWER_MAX_ITER = 300
 _POWER_TOL = 1e-10
 _DENSE_SVD_MAX = 64
-# Weights a row form admits: 2**k for |k| <= 4.  Every product of two of them
-# is a multiple of 2**-8 of at most 2**8, so any sum of at most 2**37 such
-# products, and each of its partial sums, is exact.
-_EXACT_POWER = 4
 # Up to this many coarse columns the dense BLAS products are faster than the
 # gather and the scatter: the gather takes 0.78x the time of P @ v at 255x127
 # but 1.38x at 127x63, the scatter 0.65-0.9x that of P.T @ v at 255x127
 # (one core of a 2-core Xeon).
 _GATHER_MIN_COARSE = 64
-
-
-def _admits(rows):
-    """Whether (cols, weights) is a row form: the one admission test.
-
-    Row k of P is weights[k, 0] at column cols[k, 0] plus weights[k, 1] at
-    column cols[k, 1], with cols[k, 0] < cols[k, 1], or one entry, with both
-    columns equal and weights[k, 1] = 0; every nonzero weight is a power of
-    two 2**j with |j| <= _EXACT_POWER.
-    """
-    cols, weights = rows
-    mant, exp = np.frexp(weights)  # 2**j gives mant 0.5 and exp j + 1, 0 gives 0 and 0
-    power = (mant == 0.5) & (exp > -_EXACT_POWER) & (exp <= _EXACT_POWER + 1)
-    one = weights[:, 1] == 0.0
-    return bool(power[:, 0].all() and (power[:, 1] | one).all()
-                and np.where(one, cols[:, 0] == cols[:, 1], cols[:, 0] < cols[:, 1]).all())
-
-
-def _two_entry_rows(P):
-    """Row form (cols, weights) of a dense P, or None when P has none.
-
-    A P with an empty row, a row of three or more nonzeros, or a weight that
-    _admits rejects has no row form.
-    """
-    if P.size == 0:
-        return None
-    # a boolean mask is scanned for nonzeros several times faster than P
-    at = np.flatnonzero(P != 0.0)
-    rows, cols = np.divmod(at, P.shape[1])
-    vals = P.ravel()[at]
-    nnz = np.bincount(rows, minlength=P.shape[0])
-    if not 1 <= nnz.min() <= nnz.max() <= 2:
-        return None
-    first = np.cumsum(nnz) - nnz  # index of each row's first entry in cols and vals
-    two = nnz == 2
-    entries = np.stack((first, first + two), axis=1)  # a one-entry row's only entry twice
-    weights = vals[entries]
-    weights[~two, 1] = 0.0
-    form = cols[entries], weights
-    return form if _admits(form) else None
 
 
 def _dense(shape, rows):
@@ -95,9 +51,12 @@ def _gram(n_coarse, rows):
     """P^T P of an n_coarse-column P from its row form.
 
     Each row adds c0**2, c1**2, c0*c1 and c1*c0 at (i0, i0), (i1, i1),
-    (i0, i1) and (i1, i0), for columns i0, i1 and weights c0, c1.  Each
-    product and partial sum is exact (see _EXACT_POWER), so this equals
-    BLAS's P.T @ P bit for bit, whatever order either sums in.
+    (i0, i1) and (i1, i0), for columns i0, i1 and weights c0, c1.  The
+    builders' weights are 1/2, 1 and 2, so every product is 0 or a power of
+    two from 1/4 to 4, and every sum of them, partial sums included, is a
+    multiple of 1/4 that a double holds exactly for any P that fits in
+    memory.  So this equals BLAS's P.T @ P bit for bit, whatever order
+    either sums in.
     """
     cols, weights = rows
     left, right = [0, 1, 0, 1], [0, 1, 1, 0]
@@ -160,13 +119,13 @@ class TransferOperator:
     serves both that fallback and sigma_min.  The constructor keeps a
     read-only copy of the P it is given.
 
-    When every row of P has one or two nonzeros, each a power of two from
-    1/16 to 16 (as every interpolation here has), the operator keeps P's row
-    form: two (n_fine, 2) arrays, per row the columns i0, i1 and weights
-    c0, c1.  The built-in interpolations are built as row forms, and their
-    dense P is made from it only when something reads P: the SVD behind a
-    small or stalled norm and sigma_min, and the dense products below.
-    Power iteration forms P^T P from the row form.  Once P has more than 64
+    The builders below (interior_interpolation_1d, build_depth_prolongation)
+    give the operator P's row form: two (n_fine, 2) arrays, per row the
+    columns i0, i1 and weights c0, c1, each 1/2, 1 or 2.  Their dense P is
+    made from it only when something reads P: the SVD behind a small or
+    stalled norm and sigma_min, and the dense products below.  Power
+    iteration forms P^T P from the row form.  An operator constructed from a
+    dense P keeps the dense products throughout.  Once P has more than 64
     columns (below that the dense products are faster),
     prolong gathers (c0 * v[i0] + c1 * v[i1]) + 0.0, and restrict scatters
     the products c0 * v[k], c1 * v[k] into columns i0, i1 with np.bincount,
@@ -181,8 +140,8 @@ class TransferOperator:
     +0.  The exceptions are vectors with subnormal entries, where BLAS's
     fused multiply-add leaves 0.5 * v[k] unrounded (no solve reaches that
     range), and two shapes whose restriction BLAS sums in another order, so
-    that its last bit may differ: linear_interpolation_1d(n) with n > 64
-    used as an operator itself, and a width-1 ResNet whose shared block
+    that its last bit may differ: build_depth_prolongation(k) with k > 64
+    called directly, and a width-1 ResNet whose shared block
     takes its coarse dimension past 64.  No problem built here uses either.
     """
 
@@ -190,20 +149,18 @@ class TransferOperator:
         P = np.array(P, dtype=float)  # a copy: the caller's array stays writable
         if P.ndim != 2:
             raise ValueError("prolongation must be a 2-d matrix")
+        if P.size == 0:
+            raise ValueError("prolongation has shape %s, needs a row and a column"
+                             % (P.shape,))
         if not np.isfinite(P).all():
             raise ValueError("prolongation contains non-finite entries")
         P.setflags(write=False)
-        self._setup(P.shape, _two_entry_rows(P), omega)
+        self._setup(P.shape, None, omega)
         self._P = P
 
     @classmethod
     def _from_rows(cls, shape, rows, omega):
-        """Operator of a builder's row form (cols, weights) of a shape-sized P.
-
-        A form that _admits rejects gives the dense operator of the same P.
-        """
-        if not _admits(rows):
-            return cls(_dense(shape, rows), omega)
+        """Operator of a builder's row form (cols, weights) of a shape-sized P."""
         op = cls.__new__(cls)
         op._setup(shape, rows, omega)
         return op
@@ -283,25 +240,6 @@ class TransferOperator:
         return "TransferOperator(%dx%d, omega=%g)" % (self.n_fine, self.n_coarse, self.omega)
 
 
-def _linear_rows(n_coarse):
-    """Row form of linear_interpolation_1d(n_coarse)'s P: fine row 2j copies
-    coarse point j, fine row 2j + 1 averages points j and j + 1."""
-    if n_coarse < 2:
-        raise ValueError("n_coarse must be >= 2, got %d" % n_coarse)
-    k = np.arange(2 * n_coarse - 1)
-    return (k[:, None] + (0, 1)) // 2, np.array([[1.0, 0.0], [0.5, 0.5]])[k & 1]
-
-
-def linear_interpolation_1d(n_coarse):
-    """Piecewise-linear 1D interpolation on a vertex grid, refinement factor two.
-
-    Returns a (2*n_coarse - 1) x n_coarse prolongation: coarse points are
-    copied, midpoints are averaged.  Constants are preserved.  omega = 1/2,
-    which makes the derived restriction the usual full-weighting stencil.
-    """
-    return TransferOperator._from_rows((2 * n_coarse - 1, n_coarse), _linear_rows(n_coarse), 0.5)
-
-
 def interior_interpolation_1d(n_coarse):
     """Linear interpolation between nested interior (Dirichlet) grids.
 
@@ -321,6 +259,32 @@ def interior_interpolation_1d(n_coarse):
     cols[-1, 1] = n_coarse - 1
     weights[[0, -1], 1] = 0.0
     return TransferOperator._from_rows((k.size, n_coarse), (cols, weights), 0.5)
+
+
+def build_depth_prolongation(k_coarse, block_size=1, n_shared=0):
+    """Linear interpolation across layers, refinement factor two, omega = 1/2.
+
+    Fine layer 2j copies coarse layer j and fine layer 2j + 1 averages layers
+    j and j + 1, on each of a layer's block_size coordinates, as
+    np.kron(P_1d, np.eye(block_size)) does; the derived restriction is full
+    weighting.  The n_shared trailing (time-independent) coordinates are
+    prolonged by 2, so the restriction leaves them untouched.
+    """
+    if not (k_coarse >= 2 and block_size >= 1 and n_shared >= 0):
+        raise ValueError("need k_coarse >= 2, block_size >= 1 and n_shared >= 0, got %r, %r, %r"
+                         % (k_coarse, block_size, n_shared))
+    k = np.arange(2 * k_coarse - 1)
+    n_fine, n_coarse = k.size * block_size, k_coarse * block_size
+    cols = np.empty((n_fine + n_shared, 2), dtype=k.dtype)
+    weights = np.empty((n_fine + n_shared, 2))
+    # fine row a * block_size + t is layer row a on coordinate t
+    cols[:n_fine] = (((k[:, None] + (0, 1)) // 2 * block_size)[:, None]
+                     + np.arange(block_size)[:, None]).reshape(n_fine, 2)
+    weights[:n_fine] = np.repeat(np.array([[1.0, 0.0], [0.5, 0.5]])[k & 1], block_size, axis=0)
+    cols[n_fine:] = (n_coarse + np.arange(n_shared))[:, None]
+    weights[n_fine:] = 2.0, 0.0
+    return TransferOperator._from_rows((n_fine + n_shared, n_coarse + n_shared),
+                                       (cols, weights), 0.5)
 
 
 class Level:

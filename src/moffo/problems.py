@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import (
-    Level,
-    LevelHierarchy,
-    TransferOperator,
-    _linear_rows,
-    interior_interpolation_1d,
-)
+from .hierarchy import Level, LevelHierarchy, build_depth_prolongation, interior_interpolation_1d
 
 __all__ = [
     "ProblemHierarchy",
@@ -31,7 +25,6 @@ __all__ = [
     "laplacian_quadratic_1d",
     "nonconvex_chain_1d",
     "resnet_regression",
-    "build_depth_prolongation",
     "with_minibatch",
     "with_gaussian_noise",
     "finite_difference_check",
@@ -117,17 +110,20 @@ def _check_real(name, value, positive=False):
 
 def quadratic_diag(diag=(1.0, 2.0), x0=(3.0, -4.0)):
     """Single-level diagonal quadratic f(x) = x^T diag(d) x / 2."""
-    d = np.asarray(diag, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("diagonal must be positive")
+    d = np.array(diag, dtype=float)
+    if d.ndim != 1 or d.size == 0 or not (np.isfinite(d).all() and d.min() > 0.0):
+        raise ValueError("diag must be a nonempty list of finite positive numbers, got %r"
+                         % (diag,))
+    x = np.array(x0, dtype=float)
+    if x.shape != d.shape or not np.isfinite(x).all():
+        raise ValueError("x0 must be a list of %d finite numbers, got %r" % (d.size, x0))
     level = Level(
         d.size,
         grad=lambda x: d * x,
         value=lambda x: 0.5 * float(x @ (d * x)),
     )
     hier = LevelHierarchy([level], [])
-    return ProblemHierarchy("quadratic2d", hier, np.asarray(x0, dtype=float),
-                            exact_L=float(d.max()), f_low=0.0)
+    return ProblemHierarchy("quadratic2d", hier, x, exact_L=float(d.max()), f_low=0.0)
 
 
 def _laplacian_apply(x, h):
@@ -302,28 +298,6 @@ class ResNetSpec:
 
     def dim(self, K):
         return K * self.block + self.n_shared
-
-
-def build_depth_prolongation(k_coarse, block_size=1, n_shared=0, omega=0.5):
-    """Transfer for layer-time parameter stacks, refinement factor two.
-
-    Each parameter coordinate is interpolated linearly across the layer
-    axis; shared (time-independent) trailing coordinates are prolonged by
-    1/omega so the derived restriction leaves them untouched.
-    """
-    layer_cols, layer_weights = _linear_rows(k_coarse)
-    n_fine, n_coarse = layer_cols.shape[0] * block_size, k_coarse * block_size
-    cols = np.empty((n_fine + n_shared, 2), dtype=layer_cols.dtype)
-    weights = np.empty((n_fine + n_shared, 2))
-    # fine row a * block_size + t is layer row a of the 1D stencil on
-    # coordinate t, as in np.kron(P_1d, np.eye(block_size))
-    cols[:n_fine] = (layer_cols[:, None] * block_size
-                     + np.arange(block_size)[:, None]).reshape(n_fine, 2)
-    weights[:n_fine] = np.repeat(layer_weights, block_size, axis=0)
-    cols[n_fine:] = (n_coarse + np.arange(n_shared))[:, None]
-    weights[n_fine:] = 1.0 / omega, 0.0
-    return TransferOperator._from_rows((n_fine + n_shared, n_coarse + n_shared),
-                                       (cols, weights), omega)
 
 
 def _unpack_resnet(x, spec, K):
@@ -546,8 +520,7 @@ def with_gaussian_noise(problem, sigma, seed):
     The noise is added to the given problem's own oracles, so it composes
     with a minibatch wrapper (sampling and its cost fraction are kept).
     """
-    if not sigma >= 0:
-        raise ValueError("sigma must be nonnegative")
+    _check_real("sigma", sigma)
     label = "gaussian(%g,%d)" % (sigma, seed)
     levels = []
     for l, lvl in enumerate(problem.hierarchy.levels, start=1):

@@ -55,7 +55,7 @@ class WeightState:
     every later weight is floored by them componentwise.
     """
 
-    def __init__(self, kind, mu, nu, varsigma, dim, w0=None, base_offset=None):
+    def __init__(self, kind, mu, nu, varsigma, dim, w0=None):
         if kind not in (ADAGRAD_LIKE, MAXGI):
             raise ValueError("unknown weight kind %r" % kind)
         if not 0.0 < mu < 1.0:
@@ -77,8 +77,6 @@ class WeightState:
         # is summed once; with no offset c it is varsigma, whose entries are
         # positive, so adding zeros would change no bit
         self._shift = self.varsigma
-        if base_offset is not None:
-            self._set_offset(base_offset)
         self.w0 = None if w0 is None else np.array(w0, dtype=float)
 
     def _set_offset(self, base_offset):

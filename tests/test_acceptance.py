@@ -25,8 +25,8 @@ from moffo.cli import write_trace_csv
 from moffo.hierarchy import (
     TransferOperator,
     build_coherent_model,
+    build_depth_prolongation,
     interior_interpolation_1d,
-    linear_interpolation_1d,
 )
 from moffo.problems import (
     ResNetSpec,
@@ -187,7 +187,7 @@ def test_criterion_04_structural_invariants_fuzz():
 
 
 def test_criterion_05_linear_coherence_identity():
-    ops = [linear_interpolation_1d(2), linear_interpolation_1d(9),
+    ops = [build_depth_prolongation(2), build_depth_prolongation(9),
            interior_interpolation_1d(3)]
     lap = laplacian_quadratic_1d(n_fine=255, levels=3)
     ops += lap.hierarchy.operators

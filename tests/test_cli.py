@@ -133,6 +133,25 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, patch, field):
     assert not (tmp_path / "summary.json").exists()
 
 
+# json.load accepts NaN and Infinity, so these reach the problem builder
+_MALFORMED_QUADRATIC = [
+    ({"diag": [float("nan"), 1.0]}, "diag"),
+    ({"x0": [float("inf"), 1.0]}, "x0"),
+    ({"x0": [1.0, 2.0, 3.0]}, "x0"),
+]
+
+
+@pytest.mark.parametrize("params,field", _MALFORMED_QUADRATIC,
+                         ids=["diag-nan", "x0-inf", "x0-shape"])
+def test_malformed_quadratic_config_exit_2(tmp_path, capsys, params, field):
+    cfg = {"problem": {"name": "quadratic2d", **params}, "solver": {"i_max_top": 5},
+           "runs": {"out_dir": "."}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem: %s must be" % field)
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_single_level_baseline_with_multilevel_budgets(tmp_path):
     cfg = {"problem": {"name": "laplacian1d", "n_fine": 31, "levels": 3},
            "solver": {"eps_top": 1e-3, "i_max": [10, 2, 150]},

@@ -1,5 +1,6 @@
-"""Public names: each module's __all__ resolves, and the package re-exports
-only names its source modules declare public."""
+"""Public names: each module's __all__ resolves, the package re-exports
+only names its source modules declare public, and no module reaches into
+another's private names."""
 
 import ast
 import importlib
@@ -29,3 +30,27 @@ def test_package_imports_only_exported_names():
         for alias in node.names:
             assert alias.name in module.__all__, "moffo.%s.%s" % (node.module, alias.name)
             assert getattr(moffo, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def _module_trees():
+    for name in MODULES:
+        yield name, ast.parse(Path(moffo.__file__).with_name(name + ".py").read_text())
+
+
+def test_modules_import_no_private_names():
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "moffo"
+                                                     or node.module.startswith("moffo.")):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert private == [], "moffo.%s imports %s" % (name, private)
+
+
+def test_row_form_stays_in_hierarchy():
+    # the builders in hierarchy are the only makers of a row-form operator
+    for name, tree in _module_trees():
+        if name == "hierarchy":
+            continue
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "_from_rows"), name
+            assert not (isinstance(node, ast.Name) and node.id == "_from_rows"), name

@@ -10,10 +10,10 @@ from moffo.hierarchy import (
     Level,
     TransferOperator,
     build_coherent_model,
+    build_depth_prolongation,
     interior_interpolation_1d,
-    linear_interpolation_1d,
 )
-from moffo.problems import build_depth_prolongation, build_problem, laplacian_quadratic_1d
+from moffo.problems import build_problem, laplacian_quadratic_1d
 from moffo.solver import SolverConfig, solve
 from moffo.step import vector_norm
 
@@ -30,23 +30,22 @@ def test_restriction_identity():
 
 
 def test_linear_interpolation_stencil():
-    op = linear_interpolation_1d(2)
+    op = build_depth_prolongation(2)
     assert np.array_equal(op.P, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
     assert op.omega == 0.5
 
 
 def test_linear_interpolation_midpoints_and_constants():
-    op = linear_interpolation_1d(2)
+    op = build_depth_prolongation(2)
     assert np.allclose(op.prolong(np.array([0.0, 1.0])), [0.0, 0.5, 1.0])
-    op3 = linear_interpolation_1d(3)
+    op3 = build_depth_prolongation(3)
     assert np.allclose(op3.prolong(np.ones(3)), np.ones(5))
 
 
 def test_linear_interpolation_rejects_small():
-    with pytest.raises(ValueError):
-        linear_interpolation_1d(1)
-    with pytest.raises(ValueError, match="n_coarse"):
-        build_depth_prolongation(1, 3, 2)
+    for args in [(1,), (1, 3, 2), (2, 0, 0), (2, 0, 3), (2, 1, -1)]:
+        with pytest.raises(ValueError, match="k_coarse >= 2, block_size >= 1"):
+            build_depth_prolongation(*args)
 
 
 def test_operator_norms_identity_and_diagonal():
@@ -59,7 +58,7 @@ def test_operator_norms_identity_and_diagonal():
 
 
 def test_interpolation_norm_sqrt_1_5():
-    op = linear_interpolation_1d(2)
+    op = build_depth_prolongation(2)
     # SVD oracle on the dense 3x2 stencil
     ref = np.linalg.svd(np.asarray(op.P), compute_uv=False)[0]
     assert ref == pytest.approx(np.sqrt(1.5), rel=1e-12)
@@ -136,9 +135,23 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+def _assert_row_form(rows, shape):
+    """rows is a row form of a shape-sized P: each row has one or two
+    entries with increasing columns, a one-entry row repeats its column and
+    carries weight 0 in slot 1, and every weight is 1/2, 1 or 2, which keeps
+    _gram's products and sums exact."""
+    cols, weights = rows
+    assert cols.shape == weights.shape == (shape[0], 2)
+    assert cols.min() >= 0 and cols.max() < shape[1]
+    one = weights[:, 1] == 0.0
+    assert (cols[one, 0] == cols[one, 1]).all() and (cols[~one, 0] < cols[~one, 1]).all()
+    assert np.isin(weights[:, 0], (0.5, 1.0, 2.0)).all()
+    assert np.isin(weights[~one, 1], (0.5, 1.0, 2.0)).all()
+
+
 def test_builtin_operators_have_a_row_form(builtin_operators):
     for op in builtin_operators.values():
-        assert op._rows is not None
+        _assert_row_form(op._rows, (op.n_fine, op.n_coarse))
         assert (op._gather is not None) == (op.n_coarse > hierarchy._GATHER_MIN_COARSE)
     assert {name for name, op in builtin_operators.items()
             if op._gather is not None} == set(_STRUCTURED_NORMS)
@@ -194,54 +207,45 @@ def _loop_interior(n_coarse):
     return P
 
 
-def _kron_depth(k_coarse, block_size, n_shared, omega):
+def _kron_depth(k_coarse, block_size, n_shared):
     Pt = _loop_linear(k_coarse)
     P = np.kron(Pt, np.eye(block_size)) if block_size > 1 else Pt.copy()
     if n_shared:
         full = np.zeros((P.shape[0] + n_shared, P.shape[1] + n_shared))
         full[: P.shape[0], : P.shape[1]] = P
-        full[P.shape[0]:, P.shape[1]:] = (1.0 / omega) * np.eye(n_shared)
+        full[P.shape[0]:, P.shape[1]:] = 2.0 * np.eye(n_shared)
         P = full
     return P
 
 
 def _assert_built(op, reference):
-    """op's dense P is reference, and its emitted row form is the one the
-    dense P gives."""
+    """op's dense P is reference, and it emitted a row form of it."""
     assert _bits(op.P) == _bits(reference)
     assert not op.P.flags.writeable
-    derived = hierarchy._two_entry_rows(reference)
-    for emitted, expected in zip(op._rows, derived, strict=True):
-        assert emitted.dtype == expected.dtype and _bits(emitted) == _bits(expected)
+    _assert_row_form(op._rows, reference.shape)
+    assert op.omega == 0.5
 
 
 def test_interpolations_built_by_index_match_the_loops_and_kron():
     for n in list(range(2, 40)) + [127, 511]:
-        _assert_built(linear_interpolation_1d(n), _loop_linear(n))
+        _assert_built(build_depth_prolongation(n), _loop_linear(n))
         _assert_built(interior_interpolation_1d(n - 1), _loop_interior(n - 1))
-    for k, block, shared, omega in [(2, 1, 0, 0.5), (2, 3, 0, 0.5), (2, 1, 2, 0.5),
-                                    (3, 42, 38, 0.5), (5, 42, 38, 0.5), (9, 272, 98, 0.5),
-                                    (4, 5, 3, 0.25)]:
-        _assert_built(build_depth_prolongation(k, block, shared, omega),
-                      _kron_depth(k, block, shared, omega))
+    for k, block, shared in [(2, 1, 0), (2, 3, 0), (2, 1, 2), (3, 42, 38), (5, 42, 38),
+                             (9, 272, 98), (4, 5, 3)]:
+        _assert_built(build_depth_prolongation(k, block, shared), _kron_depth(k, block, shared))
 
 
-@pytest.mark.parametrize("edit", ["weight-0.3", "three-entry-row", "builder-omega-0.3"])
+@pytest.mark.parametrize("edit", ["weight-0.3", "three-entry-row"])
 def test_operator_without_row_form_keeps_the_dense_path(edit):
-    if edit == "builder-omega-0.3":
-        # the builder's row form has shared weights 1/0.3, which _admits rejects
-        op = build_depth_prolongation(3, 6, 4, omega=0.3)
-        P = _kron_depth(3, 6, 4, 0.3)
+    # the default ResNet's 248x164 operator, on which power iteration converges
+    P = build_depth_prolongation(3, 42, 38).P.copy()
+    if edit == "weight-0.3":
+        P[10, 4] = 0.3
     else:
-        # the default ResNet's 248x164 operator, on which power iteration converges
-        P = build_depth_prolongation(3, 42, 38).P.copy()
-        if edit == "weight-0.3":
-            P[10, 4] = 0.3
-        else:
-            P[10, [4, 5]] = 0.5
-        op = TransferOperator(P, 0.5)
-        norm = hierarchy._power_norm(P.T @ P)
-        assert norm is not None and op.norm == norm
+        P[10, [4, 5]] = 0.5
+    op = TransferOperator(P, 0.5)
+    norm = hierarchy._power_norm(P.T @ P)
+    assert norm is not None and op.norm == norm
     assert op._rows is None and op._gather is None
     assert _bits(op.P) == _bits(P)
     rng = np.random.default_rng(2)
@@ -327,7 +331,7 @@ def test_power_iteration_still_converges(monkeypatch, P, iterations):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: linear_interpolation_1d(9),
+    lambda: build_depth_prolongation(9),
     lambda: interior_interpolation_1d(127),
     lambda: TransferOperator(np.random.default_rng(0).standard_normal((150, 70)), 1.0),
 ], ids=["dense", "power-stalls", "power-converges"])
@@ -374,7 +378,7 @@ def test_coherent_model_anchor_identity_on_laplacian():
 def test_linear_coherence_identity():
     # g^T (P s) == (1/omega) (R g)^T s for every operator
     rng = np.random.default_rng(3)
-    for op in (linear_interpolation_1d(5), interior_interpolation_1d(7),
+    for op in (build_depth_prolongation(5), interior_interpolation_1d(7),
                TransferOperator(rng.standard_normal((9, 4)), omega=0.37)):
         for _ in range(200):
             g = rng.standard_normal(op.n_fine)
@@ -386,7 +390,7 @@ def test_linear_coherence_identity():
 
 def test_rp_equals_omega_ptp_dense_oracle():
     for n_c in (2, 5, 16):
-        op = linear_interpolation_1d(n_c)
+        op = build_depth_prolongation(n_c)
         lhs = np.column_stack([op.restrict(p) for p in op.P.T])  # R P, column by column
         rhs = op.omega * (op.P.T @ op.P)
         assert np.allclose(lhs, rhs, atol=1e-14)
@@ -397,12 +401,12 @@ def test_rp_equals_omega_ptp_dense_oracle():
 
 
 def test_restriction_of_zero_is_zero():
-    op = linear_interpolation_1d(4)
+    op = build_depth_prolongation(4)
     assert np.array_equal(op.restrict(np.zeros(7)), np.zeros(4))
 
 
 def test_sigma_min_positive_for_builtins():
-    for op in (linear_interpolation_1d(2), linear_interpolation_1d(9),
+    for op in (build_depth_prolongation(2), build_depth_prolongation(9),
                interior_interpolation_1d(3), interior_interpolation_1d(31)):
         assert op.sigma_min > 0.0
 
@@ -424,6 +428,11 @@ def test_coherence_defect_zero_for_derived_restriction():
 def test_operator_validation():
     with pytest.raises(ValueError):
         TransferOperator(np.ones(3), omega=1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        TransferOperator([[1.0], [np.nan]], omega=1.0)
+    for shape in [(3, 0), (0, 3), (0, 0)]:
+        with pytest.raises(ValueError, match="needs a row and a column"):
+            TransferOperator(np.zeros(shape), omega=1.0)
 
 
 @pytest.mark.parametrize("omega", [float("nan"), float("inf"), 0.0, -1.0])

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from moffo.hierarchy import build_depth_prolongation
 from moffo.problems import (
     _SAMPLE_BLOCK,
     ResNetSpec,
     _batch_sum,
     _index_sets,
-    build_depth_prolongation,
     build_problem,
     finite_difference_check,
     laplacian_quadratic_1d,
@@ -159,7 +159,7 @@ def test_depth_prolongation_properties():
 
 
 def test_depth_prolongation_shared_identity_restriction():
-    op = build_depth_prolongation(2, block_size=1, n_shared=2, omega=0.5)
+    op = build_depth_prolongation(2, block_size=1, n_shared=2)
     R = op.omega * op.P.T
     fine = np.array([1.0, 2.0, 3.0, 7.0, -5.0])  # 3 layers + 2 shared
     coarse = R @ fine
@@ -264,6 +264,12 @@ def test_gaussian_noise_keeps_minibatch_sampling():
     assert both.noise == "minibatch(0.25,0)+gaussian(0,0)"
 
 
+@pytest.mark.parametrize("sigma", [math.inf, math.nan, -0.1])
+def test_gaussian_noise_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="^sigma must be"):
+        with_gaussian_noise(quadratic_diag(), sigma, 0)
+
+
 def test_root_is_the_unwrapped_problem():
     problem = laplacian_quadratic_1d(n_fine=31, levels=2)
     assert problem.root is problem
@@ -298,6 +304,14 @@ def test_registry():
     ("laplacian1d", {"dataset_size": 0}, "dataset_size"),
     ("laplacian1d", {"noise_scale": math.nan}, "noise_scale"),
     ("laplacian1d", {"noise_scale": -0.1}, "noise_scale"),
+    ("quadratic2d", {"diag": [math.nan, 1.0]}, "diag"),
+    ("quadratic2d", {"diag": [math.inf, 1.0]}, "diag"),
+    ("quadratic2d", {"diag": [0.0, 1.0]}, "diag"),
+    ("quadratic2d", {"diag": []}, "diag"),
+    ("quadratic2d", {"diag": [[1.0, 2.0]]}, "diag"),
+    ("quadratic2d", {"x0": [math.inf, 1.0]}, "x0"),
+    ("quadratic2d", {"x0": [math.nan, 1.0]}, "x0"),
+    ("quadratic2d", {"x0": [1.0, 2.0, 3.0]}, "x0"),
 ])
 def test_builders_reject_out_of_range_parameters(name, params, bad):
     with pytest.raises(ValueError, match=r"^%s must be" % bad):

@@ -13,7 +13,7 @@ from moffo.step import (
     linear_step,
     taylor_step,
 )
-from moffo.weights import ADAGRAD_LIKE, WeightState, as_floor_vector
+from moffo.weights import ADAGRAD_LIKE, as_floor_vector, seed_lower_state
 
 
 def test_radius_top_level_example():
@@ -180,4 +180,4 @@ def test_nan_rejected_at_component_boundaries():
     with pytest.raises(ValueError):
         as_floor_vector(np.array([0.5, nan]), 2)
     with pytest.raises(ValueError):
-        WeightState(ADAGRAD_LIKE, 0.5, None, 0.1, 2, base_offset=[0.0, nan])
+        seed_lower_state(ADAGRAD_LIKE, 0.5, None, 0.1, np.ones(2), g0=[0.0, nan])
