@@ -11,6 +11,7 @@ restricted upper gradient.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -47,28 +48,10 @@ def _dense(shape, rows):
     return P
 
 
-def _gram(n_coarse, rows):
-    """P^T P of an n_coarse-column P from its row form.
-
-    Each row adds c0**2, c1**2, c0*c1 and c1*c0 at (i0, i0), (i1, i1),
-    (i0, i1) and (i1, i0), for columns i0, i1 and weights c0, c1.  The
-    builders' weights are 1/2, 1 and 2, so every product is 0 or a power of
-    two from 1/4 to 4, and every sum of them, partial sums included, is a
-    multiple of 1/4 that a double holds exactly for any P that fits in
-    memory.  So this equals BLAS's P.T @ P bit for bit, whatever order
-    either sums in.
-    """
-    cols, weights = rows
-    left, right = [0, 1, 0, 1], [0, 1, 1, 0]
-    at = cols[:, left] * n_coarse + cols[:, right]
-    return np.bincount(at.ravel(), (weights[:, left] * weights[:, right]).ravel(),
-                       minlength=n_coarse * n_coarse).reshape(n_coarse, n_coarse)
-
-
-def _power_norm(G):
-    """Square root of the largest eigenvalue of a Gram matrix G = P^T P (or
-    P P^T), that is P's largest singular value, by power iteration; None if
-    the iteration stalls.
+def _power_norm(op):
+    """Largest singular value of op's P, by power iteration on the
+    restriction of the prolongation, omega * P^T P, applied as op.prolong
+    then op.restrict; None if the iteration stalls.
 
     The iteration is seeded with the all-ones vector for determinism.  With
     d_k the change of the eigenvalue estimate and rho_k = d_k / d_{k-1} its
@@ -81,14 +64,13 @@ def _power_norm(G):
     three, because one early contraction near one can be followed by a fast
     one.
     """
-    v = np.ones(G.shape[0])
+    v = np.ones(op.n_coarse)
     v /= vector_norm(v)
-    w = np.empty_like(v)
     lam_old = 0.0
     d_old = math.inf
     stalled = 0
     for k in range(1, _POWER_MAX_ITER + 1):
-        np.matmul(G, v, out=w)
+        w = op.restrict(op.prolong(v))
         lam = vector_norm(w)
         if lam == 0.0:
             return 0.0
@@ -96,7 +78,7 @@ def _power_norm(G):
         d = abs(lam - lam_old)
         rho = d / d_old
         if rho < 1.0 and d * max(1.0, rho / (1.0 - rho)) <= _POWER_TOL * lam:
-            return math.sqrt(lam)
+            return math.sqrt(lam / op.omega)
         if (rho >= 1.0 or d * rho ** (_POWER_MAX_ITER - k) * max(1.0, rho / (1.0 - rho))
                 > _POWER_TOL * lam):
             stalled += 1
@@ -124,13 +106,13 @@ class TransferOperator:
     columns i0, i1 and weights c0, c1, each 1/2, 1 or 2.  Their dense P is
     made from it only when something reads P: the SVD behind a small or
     stalled norm and sigma_min, and the dense products below.  Power
-    iteration forms P^T P from the row form.  An operator constructed from a
-    dense P keeps the dense products throughout.  Once P has more than 64
-    columns (below that the dense products are faster),
-    prolong gathers (c0 * v[i0] + c1 * v[i1]) + 0.0, and restrict scatters
-    the products c0 * v[k], c1 * v[k] into columns i0, i1 with np.bincount,
-    which adds each column's entries to +0.0 in fine-row order, then scales
-    the sums by omega.
+    iteration applies P^T P as prolong then restrict, so it forms no Gram
+    matrix.  An operator constructed from a dense P keeps the dense products
+    throughout.  Once P has more than 64 columns (below that the dense
+    products are faster), prolong gathers (c0 * v[i0] + c1 * v[i1]) + 0.0,
+    and restrict scatters the products c0 * v[k], c1 * v[k] into columns i0,
+    i1 with np.bincount, which adds each column's entries to +0.0 in
+    fine-row order, then scales the sums by omega.
 
     Both equal the dense P @ v and omega * (P.T @ v) bit for bit with this
     build's OpenBLAS: every product by a power of two is exact, a two-term
@@ -222,12 +204,7 @@ class TransferOperator:
         if self._norm is None:
             norm = None
             if min(self._shape) > _DENSE_SVD_MAX:
-                if self._rows is not None:
-                    G = _gram(self.n_coarse, self._rows)
-                else:
-                    P = self.P
-                    G = P @ P.T if P.shape[0] < P.shape[1] else P.T @ P
-                norm = _power_norm(G)
+                norm = _power_norm(self)
             self._norm = norm if norm is not None else float(self._singular_values()[0])
         return self._norm
 
@@ -270,9 +247,11 @@ def build_depth_prolongation(k_coarse, block_size=1, n_shared=0):
     weighting.  The n_shared trailing (time-independent) coordinates are
     prolonged by 2, so the restriction leaves them untouched.
     """
-    if not (k_coarse >= 2 and block_size >= 1 and n_shared >= 0):
-        raise ValueError("need k_coarse >= 2, block_size >= 1 and n_shared >= 0, got %r, %r, %r"
-                         % (k_coarse, block_size, n_shared))
+    args = (k_coarse, block_size, n_shared)
+    if not (all(isinstance(a, numbers.Integral) and not isinstance(a, bool) for a in args)
+            and k_coarse >= 2 and block_size >= 1 and n_shared >= 0):
+        raise ValueError("need integers k_coarse >= 2, block_size >= 1 and n_shared >= 0, "
+                         "got %r, %r, %r" % args)
     k = np.arange(2 * k_coarse - 1)
     n_fine, n_coarse = k.size * block_size, k_coarse * block_size
     cols = np.empty((n_fine + n_shared, 2), dtype=k.dtype)

@@ -108,14 +108,26 @@ def _check_real(name, value, positive=False):
                          % (name, "positive" if positive else "nonnegative", value))
 
 
+def _real_list(values):
+    """values as a 1-d float array if it is a sequence of real numbers
+    (bools and strings are not), else None."""
+    try:
+        items = list(values)
+    except TypeError:
+        return None
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
+        return None
+    return np.array(items, dtype=float)
+
+
 def quadratic_diag(diag=(1.0, 2.0), x0=(3.0, -4.0)):
     """Single-level diagonal quadratic f(x) = x^T diag(d) x / 2."""
-    d = np.array(diag, dtype=float)
-    if d.ndim != 1 or d.size == 0 or not (np.isfinite(d).all() and d.min() > 0.0):
+    d = _real_list(diag)
+    if d is None or d.size == 0 or not (np.isfinite(d).all() and d.min() > 0.0):
         raise ValueError("diag must be a nonempty list of finite positive numbers, got %r"
                          % (diag,))
-    x = np.array(x0, dtype=float)
-    if x.shape != d.shape or not np.isfinite(x).all():
+    x = _real_list(x0)
+    if x is None or x.shape != d.shape or not np.isfinite(x).all():
         raise ValueError("x0 must be a list of %d finite numbers, got %r" % (d.size, x0))
     level = Level(
         d.size,
@@ -160,9 +172,11 @@ def _nested_grids(n_fine, levels, forcing, times_h=False):
     width h and the forcing(t) at the fine nodes t (times h if times_h),
     restricted down the levels.
     """
-    if not (n_fine >= 1 and ((n_fine + 1) & n_fine) == 0):
+    _check_int("n_fine", n_fine, 1)
+    _check_int("levels", levels, 1)
+    if (n_fine + 1) & n_fine:
         raise ValueError("n_fine must be 2^m - 1, got %d" % n_fine)
-    if levels < 1 or int(math.log2(n_fine + 1)) < levels + 1:
+    if int(math.log2(n_fine + 1)) < levels + 1:
         raise ValueError("need n_fine = 2^m - 1 with m >= levels + 1")
     dims = [n_fine]
     for _ in range(levels - 1):

@@ -115,6 +115,9 @@ _MALFORMED = [
     ({"problem": {"minibatch": {}}}, "problem.minibatch.fraction"),
     ({"baselines": [{"kind": "sgd", "lr": "fast"}]}, "baselines[0].lr"),
     ({"solver": {"i_max": [2, 5]}}, "solver.i_max and solver.i_max_top"),
+    ({"problem": {"n_fine": 15.5}}, "problem: n_fine must be an integer"),
+    ({"problem": {"levels": "2"}}, "problem: levels must be an integer"),
+    ({"problem": {"name": "chain1d", "n_fine": "15"}}, "problem: n_fine must be an integer >= 1"),
 ]
 
 
@@ -138,11 +141,13 @@ _MALFORMED_QUADRATIC = [
     ({"diag": [float("nan"), 1.0]}, "diag"),
     ({"x0": [float("inf"), 1.0]}, "x0"),
     ({"x0": [1.0, 2.0, 3.0]}, "x0"),
+    ({"diag": ["a", 1.0]}, "diag"),
+    ({"x0": [1.0, "b"]}, "x0"),
 ]
 
 
 @pytest.mark.parametrize("params,field", _MALFORMED_QUADRATIC,
-                         ids=["diag-nan", "x0-inf", "x0-shape"])
+                         ids=["diag-nan", "x0-inf", "x0-shape", "diag-string", "x0-string"])
 def test_malformed_quadratic_config_exit_2(tmp_path, capsys, params, field):
     cfg = {"problem": {"name": "quadratic2d", **params}, "solver": {"i_max_top": 5},
            "runs": {"out_dir": "."}}
@@ -355,24 +360,30 @@ def test_trace_csv_golden_digest_old_lap255_norm(tmp_path, case):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_OLD_NORM[case]
 
 
-_THREADED_MINIBATCH_SOLVE = """
+_THREADED_SOLVES = """
 import sys
 import test_cli
 from moffo.cli import write_trace_csv
-write_trace_csv(test_cli._golden_solve("minibatch").trace, sys.argv[1])
+for case, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    write_trace_csv(test_cli._golden_solve(case).trace, path)
 """
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_minibatch_digest_independent_of_blas_threads(tmp_path, threads):
     # OpenBLAS reads its thread count when numpy loads, hence a fresh
-    # interpreter per count
+    # interpreter per count.  The ResNet case pins the norms of its 248x164
+    # and 416x248 operators, which power iteration takes through prolong and
+    # restrict, not a BLAS product.
     paths = [os.path.dirname(os.path.dirname(moffo.__file__)), os.path.dirname(__file__)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(paths))
-    path = tmp_path / "trace.csv"
-    subprocess.run([sys.executable, "-c", _THREADED_MINIBATCH_SOLVE, str(path)],
+    cases = ["minibatch", "resnet-3"]
+    args = [arg for case in cases for arg in (case, str(tmp_path / (case + ".csv")))]
+    subprocess.run([sys.executable, "-c", _THREADED_SOLVES, *args],
                    env=env, check=True, timeout=300)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_PATHS["minibatch"]
+    for case in cases:
+        digest = hashlib.sha256((tmp_path / (case + ".csv")).read_bytes()).hexdigest()
+        assert digest == _GOLDEN_PATHS[case], case
 
 
 # sha256 of the trace CSVs of a minibatch `moffo run` with three baselines,

@@ -43,8 +43,9 @@ def test_linear_interpolation_midpoints_and_constants():
 
 
 def test_linear_interpolation_rejects_small():
-    for args in [(1,), (1, 3, 2), (2, 0, 0), (2, 0, 3), (2, 1, -1)]:
-        with pytest.raises(ValueError, match="k_coarse >= 2, block_size >= 1"):
+    for args in [(1,), (1, 3, 2), (2, 0, 0), (2, 0, 3), (2, 1, -1),
+                 (2.5,), (3, 1.0, 0), (3, True, 0), (3, 1, 0.0)]:
+        with pytest.raises(ValueError, match="integers k_coarse >= 2, block_size >= 1"):
             build_depth_prolongation(*args)
 
 
@@ -105,9 +106,10 @@ def test_resnet_norms_bit_equal_to_power_iteration():
 
 # The built-in operators with more than 64 coarse columns (the laplacian1d
 # operators of lap255 to lap1023, the default ResNet's and the largest
-# ResNet resnet_regression accepts: width 16, k_coarse 5), with the norms that the
-# dense Gram P.T @ P gave them.  These are the operators that gather and
-# scatter instead of multiplying by the dense P.
+# ResNet resnet_regression accepts: width 16, k_coarse 5), with the norms that
+# power iteration on the dense Gram P.T @ P gave them, bit for bit what it
+# gives applying P^T P as prolong then restrict.  These are the operators that
+# gather and scatter instead of multiplying by the dense P.
 _STRUCTURED_NORMS = {
     "interior127": 1.4141603195352719,
     "interior255": 1.4142002513504135,
@@ -139,7 +141,7 @@ def _assert_row_form(rows, shape):
     """rows is a row form of a shape-sized P: each row has one or two
     entries with increasing columns, a one-entry row repeats its column and
     carries weight 0 in slot 1, and every weight is 1/2, 1 or 2, which keeps
-    _gram's products and sums exact."""
+    the gather's products exact."""
     cols, weights = rows
     assert cols.shape == weights.shape == (shape[0], 2)
     assert cols.min() >= 0 and cols.max() < shape[1]
@@ -184,7 +186,6 @@ def test_gather_prolong_bit_equal_to_dense(builtin_operators):
 @pytest.mark.parametrize("name", sorted(_STRUCTURED_NORMS))
 def test_row_form_norm_equals_dense_gram_norm(builtin_operators, name):
     op = builtin_operators[name]
-    assert _bits(hierarchy._gram(op.n_coarse, op._rows)) == _bits(op.P.T @ op.P)
     assert op.norm == _STRUCTURED_NORMS[name]
 
 
@@ -244,8 +245,9 @@ def test_operator_without_row_form_keeps_the_dense_path(edit):
     else:
         P[10, [4, 5]] = 0.5
     op = TransferOperator(P, 0.5)
-    norm = hierarchy._power_norm(P.T @ P)
-    assert norm is not None and op.norm == norm
+    norm = op.norm
+    assert op._sv is None  # from power iteration, not the SVD fallback
+    assert abs(norm - np.linalg.svd(P, compute_uv=False)[0]) <= 1e-9 * norm
     assert op._rows is None and op._gather is None
     assert _bits(op.P) == _bits(P)
     rng = np.random.default_rng(2)
@@ -266,17 +268,18 @@ def test_constructor_keeps_a_read_only_copy():
 
 def test_largest_resnet_holds_no_dense_transfer():
     # The dense P of the width-16, k_coarse 5 ResNet's two operators take
-    # 96 and 30 MB; the row forms, the norms' Gram matrices being freed,
-    # leave about 1 MB.
+    # 96 and 30 MB, and a 2546x2546 Gram matrix 52 MB; the row forms and the
+    # norms' coarse vectors take under 0.5 MB.
     tracemalloc.start()
     try:
         hier = build_problem("resnet", width=16, k_coarse=5).hierarchy
         norms = [hier.op(l).norm for l in (2, 3)]
-        held, _ = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert norms == [_STRUCTURED_NORMS["resnet-w16k5-op2"], _STRUCTURED_NORMS["resnet-w16k5-op3"]]
     assert held < 8e6
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("n_coarse", [127, 511])
@@ -295,7 +298,7 @@ def test_power_iteration_stops_at_the_cap(monkeypatch, n_coarse):
     assert abs(norm - np.linalg.svd(op.P, compute_uv=False)[0]) <= 1e-15 * norm
 
 
-def _counted_power_norm(monkeypatch, P):
+def _counted_power_norm(monkeypatch, op):
     calls = []
 
     def counting_norm(v):
@@ -303,7 +306,7 @@ def _counted_power_norm(monkeypatch, P):
         return vector_norm(v)
 
     monkeypatch.setattr(hierarchy, "vector_norm", counting_norm)
-    norm = hierarchy._power_norm(P.T @ P)
+    norm = hierarchy._power_norm(op)
     # one call normalizes the start vector, then one per iteration
     return norm, len(calls) - 1
 
@@ -311,21 +314,21 @@ def _counted_power_norm(monkeypatch, P):
 def test_power_iteration_gives_up_early_on_a_stall(monkeypatch):
     # lap255's 255x127 operator: the contraction climbs toward one, so the
     # tolerance is out of reach long before the iteration cap
-    norm, iterations = _counted_power_norm(monkeypatch, interior_interpolation_1d(127).P)
+    norm, iterations = _counted_power_norm(monkeypatch, interior_interpolation_1d(127))
     assert norm is None
     assert iterations <= 40
 
 
-@pytest.mark.parametrize("P, iterations", [
-    (np.random.default_rng(0).standard_normal((150, 70)), 137),
+@pytest.mark.parametrize("op, iterations", [
+    (TransferOperator(np.random.default_rng(0).standard_normal((150, 70)), 1.0), 137),
     # contractions 0, 0.33, 0.95, 0.43, ...: one pessimistic iteration alone
     # must not end the iteration
-    (build_depth_prolongation(5, 72, 50).P, None),
+    (build_depth_prolongation(5, 72, 50), None),
 ], ids=["random", "depth-5-72-50"])
-def test_power_iteration_still_converges(monkeypatch, P, iterations):
-    norm, count = _counted_power_norm(monkeypatch, P)
+def test_power_iteration_still_converges(monkeypatch, op, iterations):
+    norm, count = _counted_power_norm(monkeypatch, op)
     assert norm is not None
-    assert abs(norm - np.linalg.svd(P, compute_uv=False)[0]) <= 1e-9 * norm
+    assert abs(norm - np.linalg.svd(op.P, compute_uv=False)[0]) <= 1e-9 * norm
     if iterations is not None:
         assert count == iterations
 

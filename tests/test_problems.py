@@ -312,6 +312,13 @@ def test_registry():
     ("quadratic2d", {"x0": [math.inf, 1.0]}, "x0"),
     ("quadratic2d", {"x0": [math.nan, 1.0]}, "x0"),
     ("quadratic2d", {"x0": [1.0, 2.0, 3.0]}, "x0"),
+    ("laplacian1d", {"n_fine": 15.5}, "n_fine"),
+    ("laplacian1d", {"levels": 2.0}, "levels"),
+    ("chain1d", {"n_fine": "15"}, "n_fine"),
+    ("chain1d", {"levels": True}, "levels"),
+    ("quadratic2d", {"diag": ["a", 1.0]}, "diag"),
+    ("quadratic2d", {"diag": [True, 1.0]}, "diag"),
+    ("quadratic2d", {"x0": [1.0, "b"]}, "x0"),
 ])
 def test_builders_reject_out_of_range_parameters(name, params, bad):
     with pytest.raises(ValueError, match=r"^%s must be" % bad):
