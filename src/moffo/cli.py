@@ -9,7 +9,6 @@ summary JSON additionally records wall times.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -19,12 +18,13 @@ import time
 import numpy as np
 
 from . import bounds, problems
-from .solver import SolverConfig, solve
+from .solver import TRACE_COLUMNS, SolverConfig, solve, write_trace_csv
 from .step import vector_norm
 from .weights import ADAGRAD_LIKE
 
 __all__ = [
     "ConfigError",
+    "TRACE_COLUMNS",
     "load_config",
     "write_trace_csv",
     "sgd_baseline",
@@ -35,9 +35,6 @@ __all__ = [
     "cmd_list_problems",
     "main",
 ]
-
-TRACE_COLUMNS = ("level", "iter", "kind", "grad_norm", "step_norm", "delta_hat_norm",
-                 "delta_norm", "w_min", "w_max", "cost_cum", "f_diag")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -239,28 +236,6 @@ def load_config(path):
     }
 
 
-# %-formats of one trace CSV line, keyed by which of w_min, w_max and f_diag
-# are None; "%.0s" prints a None as an empty field.
-_LINE_FORMATS = {
-    key: "%d,%d,%s,%.17g,%.17g,%.17g,%.17g,{},{},%.17g,{}\n".format(
-        *["%.0s" if none else "%.17g" for none in key])
-    for key in itertools.product((False, True), repeat=3)
-}
-_CSV_CHUNK = 64  # rows per % operation
-
-
-def write_trace_csv(trace, path):
-    """Write the flat per-iteration trace in the fixed column order."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        rows = trace.records.rows()
-        # one % operation formats a whole chunk of rows
-        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
-            fmt = "".join([_LINE_FORMATS[row[7] is None, row[8] is None, row[10] is None]
-                           for row in chunk])
-            fh.write(fmt % tuple(itertools.chain.from_iterable(chunk)))
-
-
 def _apply_noise(problem, noise, run_seed):
     """Wrap an un-noised problem in the configured noise, with fresh streams
     seeded from run_seed; without noise the problem itself is returned."""
@@ -347,6 +322,7 @@ def _one_run(spec, seed, out_dir):
             gn, cost, iters = sres.final_grad_norm, sres.ledger.total(), sres.iterations
         baseline_entries[kind] = {
             "seed": seed,
+            "status": "converged" if gn <= cfg.eps_top else "budget_exhausted",
             "final_grad_norm": gn,
             "cost": cost,
             "iterations": iters,
@@ -381,10 +357,13 @@ def cmd_run(config_path, out_dir=None, seed=None):
         "baselines": baselines,
     }
     if "single_level" in baselines:
+        # costs to the tolerance: both solves stop at the first evaluation that meets it
         ratios = [b["cost"] / r["cost"] for r, b in zip(runs, baselines["single_level"])
-                  if r["cost"] > 0]
-        if ratios:
-            summary["cost_ratio"] = {"single_level_over_mofftr": float(np.median(ratios))}
+                  if r["status"] == b["status"] == "converged" and r["cost"] > 0]
+        summary["cost_ratio"] = {
+            "single_level_over_mofftr": float(np.median(ratios)) if ratios else None,
+            "n_seeds": len(ratios),
+        }
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
     return EXIT_OK

@@ -225,8 +225,8 @@ def interior_interpolation_1d(n_coarse):
     with coarse nodes are copied, the others are averages of their coarse
     neighbours, with the missing boundary neighbour contributing zero.
     """
-    if n_coarse < 1:
-        raise ValueError("n_coarse must be >= 1, got %d" % n_coarse)
+    if isinstance(n_coarse, bool) or not isinstance(n_coarse, numbers.Integral) or n_coarse < 1:
+        raise ValueError("n_coarse must be an integer >= 1, got %r" % (n_coarse,))
     # fine row 2j + 1 copies coarse node j, fine row 2j averages nodes j - 1 and j
     k = np.arange(2 * n_coarse + 1)
     cols = (k[:, None] + (-1, 0)) // 2

@@ -202,6 +202,7 @@ def laplacian_quadratic_1d(n_fine=255, levels=3, dataset_size=40, noise_scale=0.
     """
     _check_int("dataset_size", dataset_size, 1)
     _check_real("noise_scale", noise_scale)
+    _check_int("sample_seed", sample_seed, 0)
     if forcing is None:
         forcing = lambda t: np.sin(2.0 * np.pi * t) + 0.4 * np.sin(9.0 * np.pi * t)
     dims, ops, h_top, b = _nested_grids(n_fine, levels, forcing)
@@ -413,6 +414,7 @@ def resnet_regression(spec=None, n_samples=64, seed=0):
                           ("n_out", 1)):
         _check_int(name, getattr(spec, name), minimum)
     _check_int("n_samples", n_samples, 1)
+    _check_int("seed", seed, 0)
     _check_real("horizon", spec.horizon, positive=True)
     _check_real("beta1", spec.beta1)
     _check_real("beta2", spec.beta2)
@@ -510,6 +512,7 @@ def with_minibatch(problem, batch_fraction, seed):
         raise ValueError("problem %r is not sum-structured" % problem.name)
     if not 0.0 < batch_fraction <= 1.0:
         raise ValueError("batch fraction must lie in (0, 1]")
+    _check_int("seed", seed, 0)
     nd = problem.dataset_size
     nb = int(math.ceil(batch_fraction * nd))
     root = problem.root
@@ -535,6 +538,7 @@ def with_gaussian_noise(problem, sigma, seed):
     with a minibatch wrapper (sampling and its cost fraction are kept).
     """
     _check_real("sigma", sigma)
+    _check_int("seed", seed, 0)
     label = "gaussian(%g,%d)" % (sigma, seed)
     levels = []
     for l, lvl in enumerate(problem.hierarchy.levels, start=1):

@@ -39,6 +39,8 @@ __all__ = [
     "IterationRecord",
     "RecordView",
     "Trace",
+    "TRACE_COLUMNS",
+    "write_trace_csv",
     "SolveResult",
     "should_recurse",
     "solve",
@@ -205,6 +207,17 @@ _KIND_NAMES = np.array(_KINDS, dtype=object)
 _NO_W_MIN, _NO_W_MAX, _NO_F_DIAG = 2, 4, 8
 _NULLABLE = ((7, _NO_W_MIN), (8, _NO_W_MAX), (10, _NO_F_DIAG))  # (column, flag bit)
 _DECODE_ROWS = 256  # rows decoded per block, bounding the Python objects alive
+_CSV_ROWS = 64  # rows per CSV % operation; 256 raised lap255 peak RSS by 1.3 MB
+
+TRACE_COLUMNS = ("level", "iter", "kind", "grad_norm", "step_norm", "delta_hat_norm",
+                 "delta_norm", "w_min", "w_max", "cost_cum", "f_diag")
+# The %-format of one CSV line per kind code, fed the row without its code
+# column: "%.0s" prints the 0.0 slot of a None as an empty field.
+_LINE_FORMATS = [
+    ",".join(["%d", "%d", _KINDS[code & 1]]
+             + ["%.0s" if code & dict(_NULLABLE).get(j, 0) else "%.17g"
+                for j in range(3, _ROW_WIDTH)]) + "\n"
+    for code in range(2 * _NO_F_DIAG)]
 
 
 def _decode(block):
@@ -226,8 +239,7 @@ class RecordView(Sequence):
 
     The view of every record is live: it sees records added after it was
     made, as the list it replaces did.  A view of chosen rows (as
-    top_records() returns) is fixed when made.  rows() yields the same
-    records as plain field tuples, without building record objects.
+    top_records() returns) is fixed when made.
     """
 
     __slots__ = ("_trace", "_pos")
@@ -252,11 +264,7 @@ class RecordView(Sequence):
         return IterationRecord(*next(self._at(np.array([i]))))
 
     def __iter__(self):
-        return itertools.starmap(IterationRecord, self.rows())
-
-    def rows(self):
-        """Iterate the records' fields as tuples, in IterationRecord order."""
-        return self._trace._rows_at(self._pos)
+        return itertools.starmap(IterationRecord, self._trace._rows_at(self._pos))
 
     def _at(self, k):
         return self._trace._rows_at(k if self._pos is None else self._pos[k])
@@ -313,15 +321,29 @@ class Trace:
         # copies made from it.
         return np.frombuffer(self._rows, dtype=np.float64).reshape(-1, _ROW_WIDTH)
 
-    def _rows_at(self, pos=None):
-        """Decoded rows at positions pos, or every row, including rows added
-        while the iteration runs."""
+    def _blocks(self, pos=None, rows=_DECODE_ROWS):
+        """Copied blocks of up to rows packed rows at positions pos, or of
+        every row, including rows added while the iteration runs."""
         start = 0
         while start < (len(self) if pos is None else len(pos)):
-            stop = start + _DECODE_ROWS
+            stop = start + rows
             block = self._table()[slice(start, stop) if pos is None else pos[start:stop]].copy()
             start += len(block)
-            yield from _decode(block)
+            yield block
+
+    def _rows_at(self, pos=None):
+        """Decoded rows at positions pos, or every row."""
+        return itertools.chain.from_iterable(map(_decode, self._blocks(pos)))
+
+
+def write_trace_csv(trace, path):
+    """Write the flat per-iteration trace in the fixed column order, one %
+    operation per block of packed rows."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for block in trace._blocks(rows=_CSV_ROWS):
+            fmt = "".join([_LINE_FORMATS[c] for c in block[:, 2].astype(np.int64).tolist()])
+            fh.write(fmt % tuple(np.delete(block, 2, axis=1).ravel().tolist()))
 
 
 @dataclass

@@ -118,6 +118,11 @@ _MALFORMED = [
     ({"problem": {"n_fine": 15.5}}, "problem: n_fine must be an integer"),
     ({"problem": {"levels": "2"}}, "problem: levels must be an integer"),
     ({"problem": {"name": "chain1d", "n_fine": "15"}}, "problem: n_fine must be an integer >= 1"),
+    ({"problem": {"sample_seed": 1.5}}, "problem: sample_seed must be an integer >= 0"),
+    ({"problem": {"minibatch": {"fraction": 0.5, "seed": -1}}},
+     "problem.minibatch: seed must be an integer >= 0"),
+    ({"problem": {"gaussian": {"sigma": 0.1, "seed": -1}}},
+     "problem.gaussian: seed must be an integer >= 0"),
 ]
 
 
@@ -155,6 +160,28 @@ def test_malformed_quadratic_config_exit_2(tmp_path, capsys, params, field):
     err = capsys.readouterr().err
     assert err.startswith("config error: problem: %s must be" % field)
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("i_max_top, n_seeds", [(2700, 3), (100, 0)])
+def test_cost_ratio_compares_only_seeds_where_both_converged(tmp_path, i_max_top, n_seeds):
+    # at 2700 iterations the single-level baseline misses the tolerance on seed 3 only
+    cfg = {"problem": {"name": "laplacian1d", "n_fine": 31, "levels": 3,
+                       "gaussian": {"sigma": 1.5e-4, "seed": 0}},
+           "solver": {"eps_top": 1e-3, "i_max_top": i_max_top},
+           "baselines": [{"kind": "single_level"}],
+           "runs": {"repetitions": 4, "seeds": [0, 1, 2, 3], "out_dir": "."}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    runs, single = summary["runs"], summary["baselines"]["single_level"]
+    for entry in runs + single:
+        converged = entry["final_grad_norm"] <= 1e-3
+        assert entry["status"] == ("converged" if converged else "budget_exhausted")
+    ratios = [b["cost"] / r["cost"] for r, b in zip(runs, single)
+              if r["status"] == b["status"] == "converged"]
+    assert summary["cost_ratio"] == {
+        "single_level_over_mofftr": float(np.median(ratios)) if ratios else None,
+        "n_seeds": n_seeds}
+    assert len(ratios) == n_seeds
 
 
 def test_single_level_baseline_with_multilevel_budgets(tmp_path):
@@ -387,12 +414,13 @@ def test_minibatch_digest_independent_of_blas_threads(tmp_path, threads):
 
 
 # sha256 of the trace CSVs of a minibatch `moffo run` with three baselines,
-# and of its summary without wall times, recorded when every baseline still
-# built the problem anew.
+# recorded when every baseline still built the problem anew, and of its
+# summary without wall times, recorded when baselines gained a status and the
+# cost ratio its seed count.
 _GOLDEN_RUN = {
     "trace_laplacian1d_seed3.csv": "d05004d82cba3ba117601f96589ef157f2cac18c5eae46818fc379767bb2287e",
     "trace_laplacian1d_seed4.csv": "785b50a6dc2b71e45544b9df3ac0b4e4217a9c0f7086ce21512b51a12fd3b6dd",
-    "summary": "a8dd959787ea61b03dd5f0ef0719932806ab145f5acdb6996b464dc0bfadc35f",
+    "summary": "b6dfb94d8291d1affb4420707c31ce54aa842ce38c51f2a8c1665ccba34def5a",
 }
 
 

@@ -8,6 +8,7 @@ import pkgutil
 from pathlib import Path
 
 import moffo
+from moffo import cli, solver
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(moffo.__path__))
 
@@ -54,3 +55,16 @@ def test_row_form_stays_in_hierarchy():
         for node in ast.walk(tree):
             assert not (isinstance(node, ast.Attribute) and node.attr == "_from_rows"), name
             assert not (isinstance(node, ast.Name) and node.id == "_from_rows"), name
+
+
+def test_packed_rows_stay_in_solver():
+    # solver owns the packed trace layout and the CSV written from it
+    private = {"_table", "_blocks", "_rows_at", "_ROW", "_NULLABLE"}
+    for name, tree in _module_trees():
+        if name == "solver":
+            continue
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Attribute) and node.attr in private), name
+            assert not (isinstance(node, ast.Name) and node.id in private), name
+    assert cli.write_trace_csv is solver.write_trace_csv
+    assert cli.TRACE_COLUMNS is solver.TRACE_COLUMNS

@@ -47,6 +47,9 @@ def test_linear_interpolation_rejects_small():
                  (2.5,), (3, 1.0, 0), (3, True, 0), (3, 1, 0.0)]:
         with pytest.raises(ValueError, match="integers k_coarse >= 2, block_size >= 1"):
             build_depth_prolongation(*args)
+    for n_coarse in (0, -1, 2.5, 3.0, True):
+        with pytest.raises(ValueError, match="n_coarse must be an integer >= 1"):
+            interior_interpolation_1d(n_coarse)
 
 
 def test_operator_norms_identity_and_diagonal():

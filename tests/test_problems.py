@@ -270,6 +270,15 @@ def test_gaussian_noise_rejects_bad_sigma(sigma):
         with_gaussian_noise(quadratic_diag(), sigma, 0)
 
 
+@pytest.mark.parametrize("seed", [1.7, True, -1, "x"])
+def test_noise_wrappers_reject_bad_seeds(seed):
+    problem = laplacian_quadratic_1d(n_fine=15, levels=2)
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        with_minibatch(problem, 0.5, seed)
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        with_gaussian_noise(problem, 0.1, seed)
+
+
 def test_root_is_the_unwrapped_problem():
     problem = laplacian_quadratic_1d(n_fine=31, levels=2)
     assert problem.root is problem
@@ -319,6 +328,10 @@ def test_registry():
     ("quadratic2d", {"diag": ["a", 1.0]}, "diag"),
     ("quadratic2d", {"diag": [True, 1.0]}, "diag"),
     ("quadratic2d", {"x0": [1.0, "b"]}, "x0"),
+    ("laplacian1d", {"sample_seed": 1.5}, "sample_seed"),
+    ("laplacian1d", {"sample_seed": True}, "sample_seed"),
+    ("resnet", {"seed": "x"}, "seed"),
+    ("resnet", {"seed": 1.5}, "seed"),
 ])
 def test_builders_reject_out_of_range_parameters(name, params, bad):
     with pytest.raises(ValueError, match=r"^%s must be" % bad):
