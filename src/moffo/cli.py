@@ -221,6 +221,7 @@ def load_config(path):
     _check_type("runs.seeds", seeds, "integers")
     if len(seeds) < reps:
         raise ConfigError("runs.seeds must list at least runs.repetitions seeds")
+    _check_run_seeds(base, noise, seeds[:reps], "runs.seeds")
     out_dir = runs.get("out_dir", ".")
     _check_type("runs.out_dir", out_dir, "string")
     return {
@@ -234,6 +235,17 @@ def load_config(path):
         "seeds": seeds[:reps],
         "out_dir": out_dir,
     }
+
+
+def _check_run_seeds(problem, noise, run_seeds, where):
+    """Raise a ConfigError naming where unless every run seed gives the
+    configured noise wrappers valid seeds."""
+    for run_seed in run_seeds:
+        try:
+            _apply_noise(problem, noise, run_seed)
+        except ValueError as exc:
+            raise ConfigError("%s: run seed %d gives a noise wrapper an invalid seed (%s)"
+                              % (where, run_seed, exc))
 
 
 def _apply_noise(problem, noise, run_seed):
@@ -334,12 +346,15 @@ def _one_run(spec, seed, out_dir):
 def cmd_run(config_path, out_dir=None, seed=None):
     try:
         spec = load_config(config_path)
+        seeds = spec["seeds"]
+        if seed is not None:
+            seeds = [int(seed)]
+            _check_run_seeds(spec["problem"], spec["noise"], seeds, "--seed")
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     out = out_dir or spec["out_dir"]
     os.makedirs(out, exist_ok=True)
-    seeds = [int(seed)] if seed is not None else spec["seeds"]
     try:
         results = [_one_run(spec, s, out) for s in seeds]
     except Exception as exc:  # noqa: BLE001 - harness boundary

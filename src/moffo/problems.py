@@ -10,6 +10,7 @@ per-level seeded streams, one fresh sample per call.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -146,22 +147,22 @@ def _laplacian_apply(x, h):
 
 
 def _tridiag_laplacian_solve(b, h):
-    """Thomas algorithm for the [-1, 2, -1]/h^2 Dirichlet system."""
-    n = b.size
-    rhs = h * h * b
-    cp = np.empty(n)
-    dp = np.empty(n)
-    cp[0] = -0.5
-    dp[0] = rhs[0] / 2.0
-    for k in range(1, n):
-        den = 2.0 + cp[k - 1]
-        cp[k] = -1.0 / den
-        dp[k] = (rhs[k] + dp[k - 1]) / den
-    x = np.empty(n)
-    x[-1] = dp[-1]
-    for k in range(n - 2, -1, -1):
-        x[k] = dp[k] - cp[k] * x[k + 1]
-    return x
+    """Thomas algorithm for the [-1, 2, -1]/h^2 Dirichlet system.
+
+    The sweeps run on Python floats, about four times faster than on numpy
+    scalars and with the same IEEE-754 operations, so the same bits.
+    """
+    rhs = (h * h * b).tolist()
+    cp = [-0.5]
+    dp = [rhs[0] / 2.0]
+    for r in rhs[1:]:
+        den = 2.0 + cp[-1]
+        cp.append(-1.0 / den)
+        dp.append((r + dp[-1]) / den)
+    x = [dp[-1]]
+    for c, d in zip(cp[-2::-1], dp[-2::-1]):
+        x.append(d - c * x[-1])
+    return np.array(x[::-1])
 
 
 def _nested_grids(n_fine, levels, forcing, times_h=False):
@@ -198,7 +199,9 @@ def laplacian_quadratic_1d(n_fine=255, levels=3, dataset_size=40, noise_scale=0.
     f_l(x) = x^T A_l x / 2 - b_l^T x with the [-1, 2, -1]/h^2 stencil; the
     forcing is sampled on the finest grid and restricted downwards.  The
     problem is sum-structured through zero-mean per-sample gradient offsets,
-    so the minibatch wrapper applies.
+    so the minibatch wrapper applies: dataset_size standard normal draws
+    from sample_seed, centred by column, scaled by noise_scale * max|b| and
+    restricted down the levels one sample at a time.
     """
     _check_int("dataset_size", dataset_size, 1)
     _check_real("noise_scale", noise_scale)
@@ -207,22 +210,25 @@ def laplacian_quadratic_1d(n_fine=255, levels=3, dataset_size=40, noise_scale=0.
         forcing = lambda t: np.sin(2.0 * np.pi * t) + 0.4 * np.sin(9.0 * np.pi * t)
     dims, ops, h_top, b = _nested_grids(n_fine, levels, forcing)
 
-    rng = np.random.default_rng(sample_seed)
-    zeta = rng.standard_normal((dataset_size, n_fine))
-    zeta -= zeta.mean(axis=0)
-    z = [None] * levels
-    z[-1] = noise_scale * float(np.max(np.abs(b[-1]))) * zeta
-    for k in range(levels - 1, 0, -1):
-        # one restrict per sample: a matrix product's rounding would depend
-        # on the number of BLAS threads
-        z[k - 1] = np.array([ops[k - 1].restrict(row) for row in z[k]])
+    @functools.cache
+    def offsets():
+        # drawn on the first sampled-gradient call, so exact runs never pay
+        # for them, and shared by every wrapper of this build
+        zeta = np.random.default_rng(sample_seed).standard_normal((dataset_size, n_fine))
+        zeta -= zeta.mean(axis=0)
+        z = [noise_scale * float(np.max(np.abs(b[-1]))) * zeta]
+        for op in reversed(ops):
+            # one restrict per sample: a matrix product's rounding would depend
+            # on the number of BLAS threads
+            z.insert(0, np.array([op.restrict(row) for row in z[0]]))
+        return z
 
     levels_list = []
     sampled = []
     for k in range(levels):
         n = dims[k]
         h = 1.0 / (n + 1)
-        bk, zk = b[k], z[k]
+        bk = b[k]
 
         def grad(x, h=h, bk=bk):
             return _laplacian_apply(x, h) - bk
@@ -230,7 +236,8 @@ def laplacian_quadratic_1d(n_fine=255, levels=3, dataset_size=40, noise_scale=0.
         def value(x, h=h, bk=bk):
             return 0.5 * float(x @ _laplacian_apply(x, h)) - float(bk @ x)
 
-        def sgrad(x, idx, h=h, bk=bk, zk=zk):
+        def sgrad(x, idx, h=h, bk=bk, k=k):
+            zk = offsets()[k]
             # the arithmetic of zk[idx].mean(axis=0), without its wrappers
             noise = np.add.reduce(zk.take(idx, axis=0), axis=0) / idx.size
             return _laplacian_apply(x, h) - bk + noise

@@ -123,6 +123,8 @@ _MALFORMED = [
      "problem.minibatch: seed must be an integer >= 0"),
     ({"problem": {"gaussian": {"sigma": 0.1, "seed": -1}}},
      "problem.gaussian: seed must be an integer >= 0"),
+    ({"problem": {"minibatch": {"fraction": 0.5}}, "runs": {"seeds": [-1]}},
+     "runs.seeds: run seed -1"),
 ]
 
 
@@ -139,6 +141,23 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, patch, field):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_negative_seed_flag_checked_against_noise_seeds(tmp_path, capsys):
+    cfg = {"problem": {"name": "laplacian1d", "n_fine": 15, "levels": 2,
+                       "minibatch": {"fraction": 0.5}},
+           "solver": {"i_max_top": 5}, "runs": {"out_dir": "."}}
+    path = _write(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path), "--seed", "-1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --seed: run seed -1")
+    assert not (tmp_path / "summary.json").exists()
+    # the wrapper's own seed 5000 keeps run seed -1 valid: 5000 - 1000 >= 0
+    cfg["problem"]["minibatch"]["seed"] = 5000
+    cfg["runs"]["seeds"] = [-1]
+    path = _write(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["run", path, "--out", str(tmp_path), "--seed", "-1"]) == EXIT_OK
 
 
 # json.load accepts NaN and Infinity, so these reach the problem builder

@@ -12,6 +12,7 @@ from moffo.problems import (
     ResNetSpec,
     _batch_sum,
     _index_sets,
+    _tridiag_laplacian_solve,
     build_problem,
     finite_difference_check,
     laplacian_quadratic_1d,
@@ -39,11 +40,86 @@ def test_laplacian_gradient_zero_at_solution():
     problem = laplacian_quadratic_1d(n_fine=31, levels=2)
     h = 1.0 / 32
     b = -problem.exact_grad(2, np.zeros(31))
-    from moffo.problems import _tridiag_laplacian_solve
     x_star = _tridiag_laplacian_solve(b, h)
     assert np.linalg.norm(problem.exact_grad(2, x_star)) <= 1e-10
     # reported lower bound matches the solve
     assert problem.f_low == pytest.approx(problem.hierarchy.level(2).value(x_star), abs=1e-10)
+
+
+def _tridiag_reference(b, h):
+    """The Thomas algorithm on numpy scalars, as the builder once ran it."""
+    n = b.size
+    rhs = h * h * b
+    cp = np.empty(n)
+    dp = np.empty(n)
+    cp[0] = -0.5
+    dp[0] = rhs[0] / 2.0
+    for k in range(1, n):
+        den = 2.0 + cp[k - 1]
+        cp[k] = -1.0 / den
+        dp[k] = (rhs[k] + dp[k - 1]) / den
+    x = np.empty(n)
+    x[-1] = dp[-1]
+    for k in range(n - 2, -1, -1):
+        x[k] = dp[k] - cp[k] * x[k + 1]
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 255, 1023])
+def test_tridiag_solve_bit_equal_to_numpy_scalar_loop(n):
+    rng = np.random.default_rng(n)
+    h = 1.0 / (n + 1)
+    for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+        b = scale * rng.standard_normal(n)
+        x = _tridiag_laplacian_solve(b, h)
+        assert x.dtype == np.float64 and x.tobytes() == _tridiag_reference(b, h).tobytes()
+
+
+def test_laplacian_f_low_bits():
+    assert repr(laplacian_quadratic_1d(n_fine=31).f_low) == "-0.20500415305640274"
+    assert repr(laplacian_quadratic_1d(n_fine=255).f_low) == "-1.6340423487343139"
+
+
+def _count_offset_draws(monkeypatch, sample_seed):
+    """Count the np.random.default_rng calls that get sample_seed: one per
+    draw of a Laplacian build's per-sample offsets."""
+    draws = []
+    default_rng = np.random.default_rng
+
+    def counting(seed=None):
+        if seed == sample_seed:
+            draws.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return draws
+
+
+def test_exact_laplacian_solve_draws_no_offsets(monkeypatch):
+    draws = _count_offset_draws(monkeypatch, 2025)
+    problem = laplacian_quadratic_1d(n_fine=255, levels=3, sample_seed=2025)
+    res = solve(problem, SolverConfig(i_max_top=50, step_scale=0.003))
+    assert res.iterations == 50 and draws == []
+
+
+def test_laplacian_wrappers_share_one_offset_draw(monkeypatch):
+    draws = _count_offset_draws(monkeypatch, 77)
+    base = laplacian_quadratic_1d(n_fine=31, levels=3, dataset_size=8, sample_seed=77)
+    first = with_minibatch(base, 0.25, seed=1)
+    second = with_minibatch(base, 0.5, seed=2)
+    single = with_minibatch(base.single_level(), 0.25, seed=3)
+    assert draws == []
+    x = np.random.default_rng(5).standard_normal(31)
+    for problem in (first, second, single):
+        for l in range(1, problem.r + 1):
+            problem.hierarchy.level(l).grad(x[:problem.hierarchy.dim(l)])
+    assert draws == [77]
+    # a fresh build draws again, with the same result
+    again = with_minibatch(laplacian_quadratic_1d(n_fine=31, levels=3, dataset_size=8,
+                                                  sample_seed=77), 0.25, seed=1)
+    refs = with_minibatch(base, 0.25, seed=1)
+    assert np.array_equal(again.hierarchy.level(3).grad(x), refs.hierarchy.level(3).grad(x))
+    assert draws == [77, 77]
 
 
 def test_laplacian_dims_and_validation():
