@@ -282,7 +282,15 @@ def theory_constants(problem, config):
     f0 = hier.level(r).value(np.asarray(problem.x0, dtype=float))
     Gamma0 = float(f0) - float(f_low)
     omega = hier.op(2).omega if r > 1 else 1.0
-    sig = [hier.op(l).sigma_min for l in range(2, r + 1)]
+    sig = []
+    for l in range(2, r + 1):
+        op = hier.op(l)
+        # np.linalg.matrix_rank's cut: below it P has no full column rank,
+        # and beta_recursion's division by sigma_min^2 means nothing
+        if not op.sigma_min > max(op.n_fine, op.n_coarse) * np.finfo(float).eps * op.norm:
+            raise ValueError("operator into level %d has sigma_min %.6g, so its P lacks "
+                             "full column rank" % (l, op.sigma_min))
+        sig.append(op.sigma_min)
     budgets = config.resolved_i_max(r)
     varsigma_min = float(np.min(np.asarray(config.varsigma, dtype=float)))
     beta1, beta2 = beta_recursion(r, config.tau, varsigma_min, config.kappa_B,

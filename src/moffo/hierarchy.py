@@ -15,8 +15,6 @@ import numbers
 
 import numpy as np
 
-from .step import vector_norm
-
 __all__ = [
     "TransferOperator",
     "Level",
@@ -27,9 +25,6 @@ __all__ = [
     "build_coherent_model",
 ]
 
-_POWER_MAX_ITER = 300
-_POWER_TOL = 1e-10
-_DENSE_SVD_MAX = 64
 # Up to this many coarse columns the dense BLAS products are faster than the
 # gather and the scatter: the gather takes 0.78x the time of P @ v at 255x127
 # but 1.38x at 127x63, the scatter 0.65-0.9x that of P.T @ v at 255x127
@@ -48,71 +43,26 @@ def _dense(shape, rows):
     return P
 
 
-def _power_norm(op):
-    """Largest singular value of op's P, by power iteration on the
-    restriction of the prolongation, omega * P^T P, applied as op.prolong
-    then op.restrict; None if the iteration stalls.
-
-    The iteration is seeded with the all-ones vector for determinism.  With
-    d_k the change of the eigenvalue estimate and rho_k = d_k / d_{k-1} its
-    contraction, the change still to come is about d_k * rho_k / (1 - rho_k);
-    the estimate is returned once that (or d_k, whichever is larger) is
-    within _POWER_TOL of it.  None is returned, for the caller's SVD, once
-    the same geometric model says on three iterations in a row that the test
-    cannot pass within _POWER_MAX_ITER iterations (a contraction of one or
-    more never passes it), which is what a clustered top spectrum gives;
-    three, because one early contraction near one can be followed by a fast
-    one.
-    """
-    v = np.ones(op.n_coarse)
-    v /= vector_norm(v)
-    lam_old = 0.0
-    d_old = math.inf
-    stalled = 0
-    for k in range(1, _POWER_MAX_ITER + 1):
-        w = op.restrict(op.prolong(v))
-        lam = vector_norm(w)
-        if lam == 0.0:
-            return 0.0
-        np.divide(w, lam, out=v)
-        d = abs(lam - lam_old)
-        rho = d / d_old
-        if rho < 1.0 and d * max(1.0, rho / (1.0 - rho)) <= _POWER_TOL * lam:
-            return math.sqrt(lam / op.omega)
-        if (rho >= 1.0 or d * rho ** (_POWER_MAX_ITER - k) * max(1.0, rho / (1.0 - rho))
-                > _POWER_TOL * lam):
-            stalled += 1
-            if stalled == 3:
-                return None
-        else:
-            stalled = 0
-        lam_old, d_old = lam, d
-    return None
-
-
 class TransferOperator:
     """A prolongation P with its derived restriction R = omega * P^T.
 
     P maps the coarse space into the fine space and must have full column
-    rank.  Instances are immutable after construction; the spectral norm and
-    the singular values are computed lazily and cached.  The norm comes
-    from the dense SVD for small operators and for those on which power
-    iteration stalls, otherwise from power iteration; one SVD per operator
-    serves both that fallback and sigma_min.  The constructor keeps a
-    read-only copy of the P it is given.
+    rank.  Instances are immutable after construction.  An operator
+    constructed from a dense P takes its spectral norm and smallest singular
+    value from one SVD, when either is first read, and caches both; the
+    constructor keeps a read-only copy of the P it is given.
 
     The builders below (interior_interpolation_1d, build_depth_prolongation)
-    give the operator P's row form: two (n_fine, 2) arrays, per row the
-    columns i0, i1 and weights c0, c1, each 1/2, 1 or 2.  Their dense P is
-    made from it only when something reads P: the SVD behind a small or
-    stalled norm and sigma_min, and the dense products below.  Power
-    iteration applies P^T P as prolong then restrict, so it forms no Gram
-    matrix.  An operator constructed from a dense P keeps the dense products
-    throughout.  Once P has more than 64 columns (below that the dense
-    products are faster), prolong gathers (c0 * v[i0] + c1 * v[i1]) + 0.0,
-    and restrict scatters the products c0 * v[k], c1 * v[k] into columns i0,
-    i1 with np.bincount, which adds each column's entries to +0.0 in
-    fine-row order, then scales the sums by omega.
+    give the operator both values in closed form, and P's row form: two
+    (n_fine, 2) arrays, per row the columns i0, i1 and weights c0, c1, each
+    1/2, 1 or 2.  Their dense P is made from it only when something reads P,
+    as the dense products below do.  An operator constructed from a dense P
+    keeps the dense products throughout.  Once P has more than 64 columns
+    (below that the dense products are faster), prolong gathers
+    (c0 * v[i0] + c1 * v[i1]) + 0.0, and restrict scatters the products
+    c0 * v[k], c1 * v[k] into columns i0, i1 with np.bincount, which adds
+    each column's entries to +0.0 in fine-row order, then scales the sums by
+    omega.
 
     Both equal the dense P @ v and omega * (P.T @ v) bit for bit with this
     build's OpenBLAS: every product by a power of two is exact, a two-term
@@ -141,10 +91,12 @@ class TransferOperator:
         self._P = P
 
     @classmethod
-    def _from_rows(cls, shape, rows, omega):
-        """Operator of a builder's row form (cols, weights) of a shape-sized P."""
+    def _from_rows(cls, shape, rows, omega, norm, sigma_min):
+        """Operator of a builder's row form (cols, weights) of a shape-sized P,
+        with P's spectral norm and smallest singular value."""
         op = cls.__new__(cls)
         op._setup(shape, rows, omega)
+        op._norm, op._sigma_min = norm, sigma_min
         return op
 
     def _setup(self, shape, rows, omega):
@@ -158,7 +110,7 @@ class TransferOperator:
         # the row form serves prolong and restrict above the cut
         self._gather = rows if shape[1] > _GATHER_MIN_COARSE else None
         self._norm = None
-        self._sv = None
+        self._sigma_min = None
 
     @property
     def P(self):
@@ -192,26 +144,26 @@ class TransferOperator:
         return self.omega * np.bincount(cols.ravel(), (weights * v[:, None]).ravel(),
                                         minlength=self.n_coarse)
 
-    def _singular_values(self):
-        """All singular values of P in descending order, cached."""
-        if self._sv is None:
-            self._sv = np.linalg.svd(self.P, compute_uv=False)
-        return self._sv
+    def _svd(self):
+        """Cache the largest and smallest singular values of a dense P."""
+        sv = np.linalg.svd(self._P, compute_uv=False)
+        self._norm = float(sv[0])
+        # with more columns than rows, P^T P has n_coarse - n_fine zero eigenvalues
+        self._sigma_min = float(sv[-1]) if self.n_fine >= self.n_coarse else 0.0
 
     @property
     def norm(self):
         """Spectral norm of P, cached."""
         if self._norm is None:
-            norm = None
-            if min(self._shape) > _DENSE_SVD_MAX:
-                norm = _power_norm(self)
-            self._norm = norm if norm is not None else float(self._singular_values()[0])
+            self._svd()
         return self._norm
 
     @property
     def sigma_min(self):
         """Smallest singular value of P; positive iff full column rank."""
-        return float(self._singular_values()[-1])
+        if self._sigma_min is None:
+            self._svd()
+        return self._sigma_min
 
     def __repr__(self):
         return "TransferOperator(%dx%d, omega=%g)" % (self.n_fine, self.n_coarse, self.omega)
@@ -235,7 +187,10 @@ def interior_interpolation_1d(n_coarse):
     cols[0, 0] = 0
     cols[-1, 1] = n_coarse - 1
     weights[[0, -1], 1] = 0.0
-    return TransferOperator._from_rows((k.size, n_coarse), (cols, weights), 0.5)
+    # P^T P = tridiag(1/4, 3/2, 1/4), of eigenvalues 3/2 + cos(pi j / (n + 1)) / 2
+    c = 0.5 * math.cos(math.pi / (n_coarse + 1))
+    return TransferOperator._from_rows((k.size, n_coarse), (cols, weights), 0.5,
+                                       math.sqrt(1.5 + c), math.sqrt(1.5 - c))
 
 
 def build_depth_prolongation(k_coarse, block_size=1, n_shared=0):
@@ -262,12 +217,16 @@ def build_depth_prolongation(k_coarse, block_size=1, n_shared=0):
     weights[:n_fine] = np.repeat(np.array([[1.0, 0.0], [0.5, 0.5]])[k & 1], block_size, axis=0)
     cols[n_fine:] = (n_coarse + np.arange(n_shared))[:, None]
     weights[n_fine:] = 2.0, 0.0
+    # per coordinate P^T P = I + S^T S / 4, with S the (k_coarse - 1) x k_coarse
+    # two-point sum, of eigenvalues 1 + (1 + cos(pi j / k_coarse)) / 2, j = 1..k_coarse;
+    # the shared block's are 4
+    norm = 2.0 if n_shared else math.sqrt(1.5 + 0.5 * math.cos(math.pi / k_coarse))
     return TransferOperator._from_rows((n_fine + n_shared, n_coarse + n_shared),
-                                       (cols, weights), 0.5)
+                                       (cols, weights), 0.5, norm, 1.0)
 
 
 class Level:
-    """One member of the hierarchy: a dimension plus oracles.
+    """One member of the hierarchy: a dimension n >= 1 plus oracles.
 
     grad(x) -> gradient vector; may be stochastic (fresh draw per call).
     value(x) -> float, optional, used for diagnostics only: solver control
@@ -276,6 +235,8 @@ class Level:
     """
 
     def __init__(self, n, grad, value=None, eval_fraction=1.0):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError("n must be an integer >= 1, got %r" % (n,))
         eval_fraction = float(eval_fraction)
         if not 0.0 <= eval_fraction < math.inf:
             raise ValueError("eval_fraction must be finite and nonnegative, got %r"

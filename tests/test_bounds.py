@@ -16,7 +16,8 @@ from moffo.bounds import (
     psi_constant,
     theory_constants,
 )
-from moffo.problems import laplacian_quadratic_1d, quadratic_diag
+from moffo.hierarchy import Level, LevelHierarchy, TransferOperator
+from moffo.problems import ProblemHierarchy, laplacian_quadratic_1d, quadratic_diag
 from moffo.solver import SolverConfig, Trace
 
 
@@ -173,6 +174,29 @@ def test_theory_constants_rejects_infinite_kappa_B():
     # beta_recursion divides by kappa_B, so it must be finite
     with pytest.raises(ValueError, match="kappa_B"):
         theory_constants(quadratic_diag(), SolverConfig(kappa_B=math.inf))
+
+
+def _two_level_quadratic(P):
+    P = np.asarray(P, dtype=float)
+    levels = [Level(n, lambda x: x.copy(), lambda x: 0.5 * float(x @ x)) for n in P.shape[::-1]]
+    hier = LevelHierarchy(levels, [TransferOperator(P, 0.5)])
+    return ProblemHierarchy("hand-built", hier, np.ones(P.shape[0]), exact_L=1.0, f_low=0.0)
+
+
+@pytest.mark.parametrize("P", [np.zeros((4, 2)), [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+                               [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [0.0, 0.0]], np.ones((2, 4))],
+                         ids=["zero", "rank-1", "rank-1-scaled", "wide"])
+def test_theory_constants_rejects_an_operator_without_full_column_rank(P):
+    with pytest.raises(ValueError, match="operator into level 2 has sigma_min .*full column rank"):
+        theory_constants(_two_level_quadratic(P), SolverConfig())
+
+
+def test_theory_constants_accepts_a_full_rank_hand_built_operator():
+    tc = theory_constants(_two_level_quadratic([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.0, 0.0]]),
+                          SolverConfig())
+    assert tc.sigma_min == [pytest.approx(np.linalg.svd([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
+                                                        compute_uv=False)[-1])]
+    assert all(math.isfinite(b) for b in tc.beta2)
 
 
 def test_check_adagrad_rate_trivial_and_violation():

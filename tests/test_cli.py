@@ -326,23 +326,25 @@ def test_trace_csv_golden_digest(tmp_path, levels):
 # lap255's 255x127 prolongation became exact (see _GOLDEN_OLD_NORM).  Both
 # minibatch digests were re-recorded again when the Laplacian's per-sample
 # offsets began to be restricted one sample at a time, which gives the
-# single-threaded BLAS product's bits at any thread count.
+# single-threaded BLAS product's bits at any thread count.  The resnet-3,
+# chain-maxgi and lap31 digests were re-recorded when the builders began to
+# give their operators closed-form norms: the ResNet's are exactly 2 (power
+# iteration had stopped 2e-11 short), chain63's and lap31's moved by an ulp.
 _GOLDEN_PATHS = {
-    "resnet-3": "597a9a7163060e972109f3ba74951d65e842706513cff67361d02ddd5cf4ed5b",
+    "resnet-3": "d8fea83eaf944228264cc3e5105c7785667059753bff148d6dc901733563077e",
     "resnet-1": "5983737377a9d275cd479717415d996acb15fa4f960ca2823a3594143d220b62",
     "minibatch": "a50543939fd60946e0c0904dcb53f7dee9a4ca118a2d331331c824ccd6ae989b",
-    "chain-maxgi": "3700ac75cd777c3a1a88482185c808069189a93b68e8b8e3f1933ff2e07c25b3",
-    "lap31-post-smooth": "0151a21ecdd0582abbb482a78e3c85c9c11259a0cf72ddce8cbd542cf63a1471",
+    "chain-maxgi": "f3b2834a1073fa8efe29a3e78d8e47b94fd941f363cb969fed736d5be6e8688c",
+    "lap31-post-smooth": "ff0c2d45189935aeeb70233adb6baf94d66d86ec93165cd86dbbed74f2b541ae",
     "quadratic-tau": "dc8283b57c97b81fad5eacf0cea8cf14e1673a38f874a2118adb634c1e2fbd2c",
-    "lap31-diag": "c4f29c06c860e4814755545034a5a2726730ec6687efce06cb280338fd04eebe",
+    "lap31-diag": "99fcd7dc57d602538eae867527e56df59f21569d5fccfdf05ede28c73550a8ce",
     "lap255-kappa": "7d564415bc0ac161f50a3fdd35435f0b7925949e6045587a0c7ca835371dd746",
 }
 _SINGLE_LEVEL_CASES = ("resnet-1", "quadratic-tau")
 
 
-# Before power iteration's stop rule accounted for its slow contraction on
-# this operator, the norm of lap255's 255x127 prolongation came out 4.1e-8
-# short of its true value.  Pinned to that value, the two solves that accept
+# An earlier norm of lap255's 255x127 prolongation, by power iteration,
+# came out 4.1e-8 short of its true value.  Pinned to that value, the two solves that accept
 # recursions on lap255 reproduce their earlier digests, so the norm is the
 # only thing that changed them.
 _OLD_LAP255_NORM = 1.4141602608952275
@@ -418,9 +420,8 @@ for case, path in zip(sys.argv[1::2], sys.argv[2::2]):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_minibatch_digest_independent_of_blas_threads(tmp_path, threads):
     # OpenBLAS reads its thread count when numpy loads, hence a fresh
-    # interpreter per count.  The ResNet case pins the norms of its 248x164
-    # and 416x248 operators, which power iteration takes through prolong and
-    # restrict, not a BLAS product.
+    # interpreter per count.  The ResNet case pins its 248x164 and 416x248
+    # transfers, which gather and scatter instead of calling BLAS.
     paths = [os.path.dirname(os.path.dirname(moffo.__file__)), os.path.dirname(__file__)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(paths))
     cases = ["minibatch", "resnet-3"]
@@ -433,13 +434,12 @@ def test_minibatch_digest_independent_of_blas_threads(tmp_path, threads):
 
 
 # sha256 of the trace CSVs of a minibatch `moffo run` with three baselines,
-# recorded when every baseline still built the problem anew, and of its
-# summary without wall times, recorded when baselines gained a status and the
-# cost ratio its seed count.
+# and of its summary without wall times, all re-recorded when lap31's 15-column
+# operator took its closed-form norm, an ulp from the SVD's.
 _GOLDEN_RUN = {
-    "trace_laplacian1d_seed3.csv": "d05004d82cba3ba117601f96589ef157f2cac18c5eae46818fc379767bb2287e",
-    "trace_laplacian1d_seed4.csv": "785b50a6dc2b71e45544b9df3ac0b4e4217a9c0f7086ce21512b51a12fd3b6dd",
-    "summary": "b6dfb94d8291d1affb4420707c31ce54aa842ce38c51f2a8c1665ccba34def5a",
+    "trace_laplacian1d_seed3.csv": "0db7a87f341dacc1fe8b6ae5e67546cedaae5af664c52a257c8eed22af0fbacd",
+    "trace_laplacian1d_seed4.csv": "472f3402ba8d9fa72e2c39c389f45739dfea4fc7051ffb3b04fb813e7df3d11d",
+    "summary": "87d2013cf2fed72c66663c3b9e108629385a059ef3c98c5aeb2b744858720e35",
 }
 
 

@@ -68,3 +68,16 @@ def test_packed_rows_stay_in_solver():
             assert not (isinstance(node, ast.Name) and node.id in private), name
     assert cli.write_trace_csv is solver.write_trace_csv
     assert cli.TRACE_COLUMNS is solver.TRACE_COLUMNS
+
+
+def test_svd_stays_in_hierarchy():
+    # the builders give their operators closed-form norms, and a caller's
+    # dense P takes its norm and sigma_min from one SVD in hierarchy
+    for name, tree in _module_trees():
+        svds = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "svd"
+                or isinstance(node, ast.ImportFrom) and any(a.name == "svd" for a in node.names)]
+        assert len(svds) == (1 if name == "hierarchy" else 0), name
+        if name == "hierarchy":
+            assert not any(getattr(node, attr, None) == "_power_norm" for node in ast.walk(tree)
+                           for attr in ("name", "id", "attr"))

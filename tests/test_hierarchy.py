@@ -1,5 +1,6 @@
 """Transfer operators, interpolation stencils, and coherent models."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,6 @@ from moffo.hierarchy import (
     interior_interpolation_1d,
 )
 from moffo.problems import build_problem, laplacian_quadratic_1d
-from moffo.solver import SolverConfig, solve
-from moffo.step import vector_norm
 
 
 def test_restriction_is_omega_p_transpose():
@@ -70,27 +69,18 @@ def test_interpolation_norm_sqrt_1_5():
 
 
 def test_norm_cached_and_power_iteration_path():
+    # a caller's dense P takes its norm from the SVD, once
     rng = np.random.default_rng(0)
-    P = rng.standard_normal((150, 70))  # above the dense-SVD size cut
+    P = rng.standard_normal((150, 70))
     op = TransferOperator(P, omega=1.0)
     ref = np.linalg.svd(P, compute_uv=False)[0]
     assert op.norm == pytest.approx(ref, rel=1e-8)
     assert op.norm is op.norm or op.norm == op.norm  # cached value stable
 
 
-def test_norm_falls_back_to_svd_when_power_iteration_stalls():
-    # The top of P^T P is clustered for n_fine = 511, so power iteration runs
-    # out of iterations; this solve used to raise at its first recursion.
-    problem = laplacian_quadratic_1d(n_fine=511, levels=2)
-    res = solve(problem, SolverConfig(i_max_top=20))
-    assert res.iterations == 20
-    op = problem.hierarchy.op(2)
-    assert abs(op.norm - np.linalg.svd(op.P, compute_uv=False)[0]) <= 1e-12
-
-
 def test_lap255_norm_matches_svd_and_closed_form():
     # P^T P is tridiag(0.25, 1.5, 0.25) of order 127, whose top eigenvalue is
-    # 1.5 + 0.5 cos(pi/128); power iteration used to stop 4e-8 short of it.
+    # 1.5 + 0.5 cos(pi/128)
     op = laplacian_quadratic_1d(n_fine=255, levels=3).hierarchy.op(3)
     assert op.P.shape == (255, 127)
     for ref in (np.linalg.svd(op.P, compute_uv=False)[0],
@@ -99,29 +89,23 @@ def test_lap255_norm_matches_svd_and_closed_form():
 
 
 def test_resnet_norms_bit_equal_to_power_iteration():
-    # both operators converge fast (contraction about 0.2), where the stop
-    # rule ends at the same iteration as a plain successive-difference test
+    # Power iteration gave 1.9999999999797942 and 1.999999999980255, just
+    # under the exact 2; the closed form is the exact value, an upper bound.
     hier = build_problem("resnet").hierarchy
     assert [hier.op(l).P.shape for l in (2, 3)] == [(248, 164), (416, 248)]
-    assert hier.op(2).norm == 1.9999999999797942
-    assert hier.op(3).norm == 1.999999999980255
+    assert hier.op(2).norm == 2.0
+    assert hier.op(3).norm == 2.0
+    for l, power in ((2, 1.9999999999797942), (3, 1.999999999980255)):
+        assert power < hier.op(l).norm <= power + 1e-10
+        assert hier.op(l).norm == np.linalg.svd(hier.op(l).P, compute_uv=False)[0]
 
 
 # The built-in operators with more than 64 coarse columns (the laplacian1d
 # operators of lap255 to lap1023, the default ResNet's and the largest
-# ResNet resnet_regression accepts: width 16, k_coarse 5), with the norms that
-# power iteration on the dense Gram P.T @ P gave them, bit for bit what it
-# gives applying P^T P as prolong then restrict.  These are the operators that
+# ResNet resnet_regression accepts: width 16, k_coarse 5): the operators that
 # gather and scatter instead of multiplying by the dense P.
-_STRUCTURED_NORMS = {
-    "interior127": 1.4141603195352719,
-    "interior255": 1.4142002513504135,
-    "interior511": 1.4142102345978484,
-    "resnet-op2": 1.9999999999797942,
-    "resnet-op3": 1.999999999980255,
-    "resnet-w16k5-op2": 1.9999999999887594,
-    "resnet-w16k5-op3": 1.9999999999841545,
-}
+_GATHERING = {"interior127", "interior255", "interior511", "resnet-op2", "resnet-op3",
+              "resnet-w16k5-op2", "resnet-w16k5-op3"}
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +143,7 @@ def test_builtin_operators_have_a_row_form(builtin_operators):
         _assert_row_form(op._rows, (op.n_fine, op.n_coarse))
         assert (op._gather is not None) == (op.n_coarse > hierarchy._GATHER_MIN_COARSE)
     assert {name for name, op in builtin_operators.items()
-            if op._gather is not None} == set(_STRUCTURED_NORMS)
+            if op._gather is not None} == _GATHERING
 
 
 def _test_vectors(rng, n):
@@ -186,10 +170,31 @@ def test_gather_prolong_bit_equal_to_dense(builtin_operators):
             assert _bits(op.restrict(g)) == _bits(op.omega * (P.T @ g))
 
 
-@pytest.mark.parametrize("name", sorted(_STRUCTURED_NORMS))
+def _within_ulps(value, ref):
+    return abs(value - ref) <= 8 * np.spacing(ref)
+
+
+@pytest.mark.parametrize("name", sorted(_GATHERING))
 def test_row_form_norm_equals_dense_gram_norm(builtin_operators, name):
     op = builtin_operators[name]
-    assert op.norm == _STRUCTURED_NORMS[name]
+    assert _within_ulps(op.norm, np.sqrt(np.linalg.eigvalsh(op.P.T @ op.P)[-1]))
+
+
+def test_interior_interpolation_norms_match_the_svd():
+    for n in range(1, 601):
+        op = interior_interpolation_1d(n)
+        sv = np.linalg.svd(op.P, compute_uv=False)
+        assert _within_ulps(op.norm, sv[0]) and _within_ulps(op.sigma_min, sv[-1]), n
+
+
+def test_depth_prolongation_norms_match_the_svd():
+    for k in range(2, 71):
+        for block in range(1, 5):
+            for shared in range(4):
+                op = build_depth_prolongation(k, block, shared)
+                sv = np.linalg.svd(op.P, compute_uv=False)
+                assert (_within_ulps(op.norm, sv[0])
+                        and _within_ulps(op.sigma_min, sv[-1])), (k, block, shared)
 
 
 def _loop_linear(n_coarse):
@@ -241,16 +246,15 @@ def test_interpolations_built_by_index_match_the_loops_and_kron():
 
 @pytest.mark.parametrize("edit", ["weight-0.3", "three-entry-row"])
 def test_operator_without_row_form_keeps_the_dense_path(edit):
-    # the default ResNet's 248x164 operator, on which power iteration converges
+    # the default ResNet's 248x164 operator
     P = build_depth_prolongation(3, 42, 38).P.copy()
     if edit == "weight-0.3":
         P[10, 4] = 0.3
     else:
         P[10, [4, 5]] = 0.5
     op = TransferOperator(P, 0.5)
-    norm = op.norm
-    assert op._sv is None  # from power iteration, not the SVD fallback
-    assert abs(norm - np.linalg.svd(P, compute_uv=False)[0]) <= 1e-9 * norm
+    sv = np.linalg.svd(P, compute_uv=False)
+    assert (op.norm, op.sigma_min) == (sv[0], sv[-1])
     assert op._rows is None and op._gather is None
     assert _bits(op.P) == _bits(P)
     rng = np.random.default_rng(2)
@@ -271,8 +275,7 @@ def test_constructor_keeps_a_read_only_copy():
 
 def test_largest_resnet_holds_no_dense_transfer():
     # The dense P of the width-16, k_coarse 5 ResNet's two operators take
-    # 96 and 30 MB, and a 2546x2546 Gram matrix 52 MB; the row forms and the
-    # norms' coarse vectors take under 0.5 MB.
+    # 96 and 30 MB; the row forms take under 0.5 MB.
     tracemalloc.start()
     try:
         hier = build_problem("resnet", width=16, k_coarse=5).hierarchy
@@ -280,78 +283,54 @@ def test_largest_resnet_holds_no_dense_transfer():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert norms == [_STRUCTURED_NORMS["resnet-w16k5-op2"], _STRUCTURED_NORMS["resnet-w16k5-op3"]]
+    assert norms == [2.0, 2.0]
     assert held < 8e6
     assert peak < 8e6
 
 
-@pytest.mark.parametrize("n_coarse", [127, 511])
-def test_power_iteration_stops_at_the_cap(monkeypatch, n_coarse):
-    calls = []
-
-    def counting_norm(v):
-        calls.append(1)
-        return vector_norm(v)
-
-    monkeypatch.setattr(hierarchy, "vector_norm", counting_norm)
-    op = interior_interpolation_1d(n_coarse)
-    norm = op.norm
-    # one call normalizes the start vector, then one per iteration
-    assert 1 < len(calls) <= 1 + hierarchy._POWER_MAX_ITER
-    assert abs(norm - np.linalg.svd(op.P, compute_uv=False)[0]) <= 1e-15 * norm
-
-
-def _counted_power_norm(monkeypatch, op):
-    calls = []
-
-    def counting_norm(v):
-        calls.append(1)
-        return vector_norm(v)
-
-    monkeypatch.setattr(hierarchy, "vector_norm", counting_norm)
-    norm = hierarchy._power_norm(op)
-    # one call normalizes the start vector, then one per iteration
-    return norm, len(calls) - 1
-
-
-def test_power_iteration_gives_up_early_on_a_stall(monkeypatch):
-    # lap255's 255x127 operator: the contraction climbs toward one, so the
-    # tolerance is out of reach long before the iteration cap
-    norm, iterations = _counted_power_norm(monkeypatch, interior_interpolation_1d(127))
-    assert norm is None
-    assert iterations <= 40
-
-
-@pytest.mark.parametrize("op, iterations", [
-    (TransferOperator(np.random.default_rng(0).standard_normal((150, 70)), 1.0), 137),
-    # contractions 0, 0.33, 0.95, 0.43, ...: one pessimistic iteration alone
-    # must not end the iteration
-    (build_depth_prolongation(5, 72, 50), None),
-], ids=["random", "depth-5-72-50"])
-def test_power_iteration_still_converges(monkeypatch, op, iterations):
-    norm, count = _counted_power_norm(monkeypatch, op)
-    assert norm is not None
-    assert abs(norm - np.linalg.svd(op.P, compute_uv=False)[0]) <= 1e-9 * norm
-    if iterations is not None:
-        assert count == iterations
-
-
-@pytest.mark.parametrize("make", [
-    lambda: build_depth_prolongation(9),
-    lambda: interior_interpolation_1d(127),
-    lambda: TransferOperator(np.random.default_rng(0).standard_normal((150, 70)), 1.0),
-], ids=["dense", "power-stalls", "power-converges"])
-def test_norm_and_sigma_min_share_one_svd(monkeypatch, make):
+def _count_svds(monkeypatch):
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    return calls
+
+
+# A builder's operator takes its norm and sigma_min from closed forms, a
+# caller's dense P both from one SVD.  The ids name the paths the 127-column
+# and the 150x70 operators took while norms came from power iteration.
+@pytest.mark.parametrize("make, svds", [
+    (lambda: TransferOperator(build_depth_prolongation(9).P, 0.5), 1),
+    (lambda: interior_interpolation_1d(127), 0),
+    (lambda: TransferOperator(np.random.default_rng(0).standard_normal((150, 70)), 1.0), 1),
+], ids=["dense", "power-stalls", "power-converges"])
+def test_norm_and_sigma_min_share_one_svd(monkeypatch, make, svds):
     op = make()
+    calls = _count_svds(monkeypatch)
     norm = op.norm
     smin = op.sigma_min
     assert (op.norm, op.sigma_min) == (norm, smin)
-    assert len(calls) == 1
+    assert len(calls) == svds
     assert 0.0 < smin <= norm
+    sv = np.linalg.svd(op.P, compute_uv=False)
+    if svds:
+        assert (norm, smin) == (sv[0], sv[-1])
+    else:
+        assert abs(norm - sv[0]) <= 4 * np.spacing(sv[0])
+        assert abs(smin - sv[-1]) <= 4 * np.spacing(sv[0])
+
+
+def test_lap255_and_resnet_norms_take_no_svd_and_no_dense_p(monkeypatch):
+    calls = _count_svds(monkeypatch)
+    lap = laplacian_quadratic_1d(n_fine=255, levels=3).hierarchy
+    resnet = build_problem("resnet").hierarchy
+    for op in lap.operators + resnet.operators:
+        assert 0.0 < op.sigma_min <= op.norm
+    assert calls == []
+    big = [lap.op(3)] + resnet.operators
+    assert all(op._P is None for op in big)
+    assert [op.P.shape for op in big] == [(255, 127), (248, 164), (416, 248)]
+    assert [op.norm for op in resnet.operators] == [2.0, 2.0]
 
 
 def test_coherent_model_telescoping():
@@ -453,3 +432,13 @@ def test_level_rejects_bad_eval_fraction_before_any_oracle_call(fraction):
     with pytest.raises(ValueError, match="eval_fraction .*%r" % fraction):
         Level(2, lambda x: calls.append(1) or x.copy(), eval_fraction=fraction)
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [2.7, 3.0, True, False, 0, -3, "3", None])
+def test_level_rejects_a_size_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got %s$" % re.escape(repr(n))):
+        Level(n, lambda x: x.copy())
+
+
+def test_level_keeps_an_integer_size():
+    assert [type(Level(n, lambda x: x.copy()).n) for n in (1, np.int64(3))] == [int, int]
