@@ -292,7 +292,7 @@ def theory_constants(problem, config):
                              "full column rank" % (l, op.sigma_min))
         sig.append(op.sigma_min)
     budgets = config.resolved_i_max(r)
-    varsigma_min = float(np.min(np.asarray(config.varsigma, dtype=float)))
+    varsigma_min = float(config.varsigma)
     beta1, beta2 = beta_recursion(r, config.tau, varsigma_min, config.kappa_B,
                                   config.kappa_R, omega, config.alpha, L, budgets, sig)
     tc = TheoryConstants(

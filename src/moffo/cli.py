@@ -55,19 +55,29 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+_BASELINE_KINDS = ("sgd", "adagrad_oracle", "single_level")
+
 # JSON value types, checked before any value reaches the solver or a builder.
 _TYPES = {
     "number": ("a finite number", _is_number),
     "integer": ("an integer", _is_int),
     "boolean": ("true or false", lambda v: isinstance(v, bool)),
     "string": ("a string", lambda v: isinstance(v, str)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "list": ("a list", lambda v: isinstance(v, list)),
     "number?": ("a finite number or null", lambda v: v is None or _is_number(v)),
-    "floors": ("a finite number or a nonempty list of them",
-               lambda v: _is_number(v) or (isinstance(v, list) and len(v) > 0
-                                           and all(map(_is_number, v)))),
-    "integers": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
     "integers?": ("a list of integers or null",
                   lambda v: v is None or (isinstance(v, list) and all(map(_is_int, v)))),
+    "baseline": ("one of " + ", ".join(_BASELINE_KINDS), lambda v: v in _BASELINE_KINDS),
+}
+
+# Config objects as {field: (JSON type, required)}; the problem's own
+# fields are checked by its builder.
+_CONFIG_FIELDS = {
+    "problem": ("object", True),
+    "solver": ("object", False),
+    "baselines": ("list", False),
+    "runs": ("object", False),
 }
 
 # config key -> (SolverConfig field, JSON type)
@@ -75,7 +85,7 @@ _SOLVER_KEYS = {
     "weights": ("weight_kind", "string"),
     "mu": ("mu", "number"),
     "nu": ("nu", "number?"),
-    "varsigma": ("varsigma", "floors"),
+    "varsigma": ("varsigma", "number"),
     "kappa_R": ("kappa_R", "number"),
     "alpha": ("alpha", "number"),
     "tau": ("tau", "number"),
@@ -90,14 +100,21 @@ _SOLVER_KEYS = {
     "strict_descent_monitoring": ("strict_descent_monitoring", "boolean"),
     "diag_values": ("diag_values", "boolean"),
 }
+_SOLVER_FIELDS = {key: (kind, False) for key, (_, kind) in _SOLVER_KEYS.items()}
 
-# noise wrapper -> {field: (JSON type, required)}
+# noise wrapper -> its fields
 _NOISE_KEYS = {
     "minibatch": {"fraction": ("number", True), "seed": ("integer", False)},
     "gaussian": {"sigma": ("number", True), "seed": ("integer", False)},
 }
 
-_BASELINE_KINDS = ("sgd", "adagrad_oracle", "single_level")
+_BASELINE_FIELDS = {"kind": ("baseline", True), "lr": ("number", False)}
+
+_RUNS_FIELDS = {
+    "repetitions": ("integer", False),
+    "seeds": ("integers?", False),
+    "out_dir": ("string", False),
+}
 
 
 def _check_type(where, value, kind):
@@ -106,18 +123,21 @@ def _check_type(where, value, kind):
         raise ConfigError("%s must be %s, got %r" % (where, desc, value))
 
 
-def _check_noise(key, spec):
-    if not isinstance(spec, dict):
-        raise ConfigError("problem.%s must be an object" % key)
-    fields = _NOISE_KEYS[key]
-    extra = set(spec) - set(fields)
-    if extra:
-        raise ConfigError("problem.%s: unknown field(s) %s" % (key, sorted(extra)))
+def _check_object(where, obj, fields):
+    """Raise a ConfigError unless obj is an object whose fields all appear
+    in the table fields, {field: (JSON type, required)}, each with that
+    type, and which has every required field.  where names obj in the
+    messages, "" for the config root."""
+    _check_type(where or "config", obj, "object")
+    prefix = where + "." if where else ""
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise ConfigError("unknown field(s): %s" % ", ".join(prefix + k for k in unknown))
     for field, (kind, required) in fields.items():
-        if field in spec:
-            _check_type("problem.%s.%s" % (key, field), spec[field], kind)
+        if field in obj:
+            _check_type(prefix + field, obj[field], kind)
         elif required:
-            raise ConfigError("problem.%s.%s is required" % (key, field))
+            raise ConfigError("%s%s is required" % (prefix, field))
 
 
 def load_config(path):
@@ -136,15 +156,7 @@ def load_config(path):
         raise ConfigError("cannot read config: %s" % exc)
     except json.JSONDecodeError as exc:
         raise ConfigError("config is not valid JSON: %s" % exc)
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    unknown = set(raw) - {"problem", "solver", "baselines", "runs"}
-    if unknown:
-        raise ConfigError("unknown top-level key(s): %s" % ", ".join(sorted(unknown)))
-    if "problem" not in raw:
-        raise ConfigError("missing required key: problem")
-    if not isinstance(raw["problem"], dict):
-        raise ConfigError("problem must be an object")
+    _check_object("", raw, _CONFIG_FIELDS)
 
     prob = dict(raw["problem"])
     name = prob.pop("name", None)
@@ -154,10 +166,10 @@ def load_config(path):
         raise ConfigError("problem.name: unknown problem %r (known: %s)"
                           % (name, ", ".join(problems.PROBLEM_NAMES)))
     noise = {}
-    for noise_key in _NOISE_KEYS:
+    for noise_key, fields in _NOISE_KEYS.items():
         if noise_key in prob:
             noise[noise_key] = prob.pop(noise_key)
-            _check_noise(noise_key, noise[noise_key])
+            _check_object("problem." + noise_key, noise[noise_key], fields)
     try:
         base = problems.build_problem(name, **prob)
     except (ValueError, TypeError) as exc:
@@ -168,15 +180,8 @@ def load_config(path):
         raise ConfigError("problem.%s: %s" % ("/".join(noise), exc))
 
     solver_raw = raw.get("solver", {})
-    if not isinstance(solver_raw, dict):
-        raise ConfigError("solver must be an object")
-    solver_kwargs = {}
-    for key, val in solver_raw.items():
-        if key not in _SOLVER_KEYS:
-            raise ConfigError("solver.%s: unknown field" % key)
-        field, kind = _SOLVER_KEYS[key]
-        _check_type("solver." + key, val, kind)
-        solver_kwargs[field] = val
+    _check_object("solver", solver_raw, _SOLVER_FIELDS)
+    solver_kwargs = {_SOLVER_KEYS[key][0]: val for key, val in solver_raw.items()}
     if solver_kwargs.get("i_max") is not None and "i_max_top" in solver_kwargs:
         raise ConfigError("solver.i_max and solver.i_max_top are both set; i_max gives "
                           "every level's budget, top included")
@@ -184,46 +189,24 @@ def load_config(path):
         SolverConfig(**solver_kwargs).validate(problem.r)
     except (ValueError, TypeError) as exc:
         raise ConfigError("solver: %s" % exc)
-    floors = solver_kwargs.get("varsigma")
-    top_dim = problem.hierarchy.dim(problem.r)
-    if isinstance(floors, list) and len(floors) != top_dim:
-        raise ConfigError("solver.varsigma: %d floors for a problem of dimension %d"
-                          % (len(floors), top_dim))
 
     baselines = raw.get("baselines", [])
-    if not isinstance(baselines, list):
-        raise ConfigError("baselines must be a list")
     for k, entry in enumerate(baselines):
-        if not isinstance(entry, dict) or entry.get("kind") not in _BASELINE_KINDS:
-            raise ConfigError("baselines[%d].kind must be one of %s"
-                              % (k, ", ".join(_BASELINE_KINDS)))
-        extra = set(entry) - {"kind", "lr"}
-        if extra:
-            raise ConfigError("baselines[%d]: unknown field(s) %s" % (k, sorted(extra)))
+        _check_object("baselines[%d]" % k, entry, _BASELINE_FIELDS)
         if entry["kind"] == "sgd" and "lr" not in entry:
             raise ConfigError("baselines[%d].lr is required for sgd" % k)
-        if "lr" in entry:
-            _check_type("baselines[%d].lr" % k, entry["lr"], "number")
 
     runs = raw.get("runs", {})
-    if not isinstance(runs, dict):
-        raise ConfigError("runs must be an object")
-    extra = set(runs) - {"repetitions", "seeds", "out_dir"}
-    if extra:
-        raise ConfigError("runs: unknown field(s) %s" % sorted(extra))
+    _check_object("runs", runs, _RUNS_FIELDS)
     reps = runs.get("repetitions", 1)
-    _check_type("runs.repetitions", reps, "integer")
     if reps < 1:
         raise ConfigError("runs.repetitions must be >= 1")
     seeds = runs.get("seeds")
     if seeds is None:
         seeds = list(range(reps))
-    _check_type("runs.seeds", seeds, "integers")
     if len(seeds) < reps:
         raise ConfigError("runs.seeds must list at least runs.repetitions seeds")
     _check_run_seeds(base, noise, seeds[:reps], "runs.seeds")
-    out_dir = runs.get("out_dir", ".")
-    _check_type("runs.out_dir", out_dir, "string")
     return {
         "problem_name": name,
         "problem_params": prob,
@@ -233,7 +216,7 @@ def load_config(path):
         "baselines": baselines,
         "repetitions": reps,
         "seeds": seeds[:reps],
-        "out_dir": out_dir,
+        "out_dir": runs.get("out_dir", "."),
     }
 
 
@@ -322,9 +305,8 @@ def _one_run(spec, seed, out_dir):
             _, gn, cost, iters = sgd_baseline(top.grad, bp.x0, float(base["lr"]),
                                               steps, cfg.eps_top, top.eval_fraction)
         elif kind == "adagrad_oracle":
-            vs = float(np.min(np.asarray(cfg.varsigma)))
-            _, gn, cost, iters = adagrad_oracle_baseline(top.grad, bp.x0, steps,
-                                                         cfg.eps_top, vs, top.eval_fraction)
+            _, gn, cost, iters = adagrad_oracle_baseline(top.grad, bp.x0, steps, cfg.eps_top,
+                                                         cfg.varsigma, top.eval_fraction)
         else:
             kwargs = dict(spec["solver_kwargs"])
             kwargs.pop("i_max", None)
@@ -343,18 +325,34 @@ def _one_run(spec, seed, out_dir):
     return entry, baseline_entries
 
 
-def cmd_run(config_path, out_dir=None, seed=None):
+def _prepare(config_path, out_dir, check):
+    """Load the config, apply a command's own check to it, then make the
+    output directory: out_dir, or runs.out_dir without it.  Returns
+    (spec, out), or None after printing the config error."""
     try:
         spec = load_config(config_path)
-        seeds = spec["seeds"]
-        if seed is not None:
-            seeds = [int(seed)]
-            _check_run_seeds(spec["problem"], spec["noise"], seeds, "--seed")
+        check(spec)
+        where, out = ("--out", out_dir) if out_dir else ("runs.out_dir", spec["out_dir"])
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("%s: cannot make output directory %r (%s)" % (where, out, exc))
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
+        return None
+    return spec, out
+
+
+def cmd_run(config_path, out_dir=None, seed=None):
+    def check_seed(spec):
+        if seed is not None:
+            _check_run_seeds(spec["problem"], spec["noise"], [int(seed)], "--seed")
+
+    prepared = _prepare(config_path, out_dir, check_seed)
+    if prepared is None:
         return EXIT_CONFIG
-    out = out_dir or spec["out_dir"]
-    os.makedirs(out, exist_ok=True)
+    spec, out = prepared
+    seeds = spec["seeds"] if seed is None else [int(seed)]
     try:
         results = [_one_run(spec, s, out) for s in seeds]
     except Exception as exc:  # noqa: BLE001 - harness boundary
@@ -384,21 +382,19 @@ def cmd_run(config_path, out_dir=None, seed=None):
     return EXIT_OK
 
 
+def _check_bound_constants(spec):
+    if spec["problem"].exact_L is None or spec["problem"].f_low is None:
+        raise ConfigError("problem.name: bound checks need exact_L and f_low")
+
+
 def cmd_check_bounds(config_path, out_dir=None):
-    try:
-        spec = load_config(config_path)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
+    prepared = _prepare(config_path, out_dir, _check_bound_constants)
+    if prepared is None:
         return EXIT_CONFIG
-    out = out_dir or spec["out_dir"]
-    os.makedirs(out, exist_ok=True)
+    spec, out = prepared
     try:
         problem = spec["problem"]
         cfg = SolverConfig(**spec["solver_kwargs"])
-        if problem.exact_L is None or problem.f_low is None:
-            print("config error: problem.name: bound checks need exact_L and f_low",
-                  file=sys.stderr)
-            return EXIT_CONFIG
         tc = bounds.theory_constants(problem, cfg)
         res = solve(problem, cfg)
         checks = {}

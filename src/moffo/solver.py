@@ -26,7 +26,6 @@ from .weights import (
     ADAGRAD_LIKE,
     MAXGI,
     WeightState,
-    as_floor_vector,
     init_lower_adagrad,
     init_lower_divergent,
     seed_lower_state,
@@ -73,7 +72,7 @@ class SolverConfig:
     weight_kind: str = ADAGRAD_LIKE
     mu: float = 0.5
     nu: float | None = None          # maxgi exponent, defaults to mu
-    varsigma: float | np.ndarray = 0.01
+    varsigma: float = 0.01
     kappa_R: float = 0.01
     alpha: float = 5.0
     tau: float = 1.0
@@ -121,11 +120,8 @@ class SolverConfig:
         budgets = self.i_max if self.i_max is not None else self.resolved_i_max(r)
         if len(budgets) != r or not all(_is_integral(b) and b >= 1 for b in budgets):
             raise ValueError("i_max must be %d positive integers" % r)
-        v = np.asarray(self.varsigma, dtype=float)  # shape checked per level later
-        if v.size == 0 or not (v.min() > 0.0 and v.max() <= 1.0):
-            raise ValueError("varsigma must lie in (0, 1]")
-        if v.ndim != 0 and r > 1:
-            raise ValueError("per-coordinate floors require a single-level hierarchy")
+        if not (isinstance(self.varsigma, numbers.Real) and 0.0 < self.varsigma <= 1.0):
+            raise ValueError("varsigma must be a number in (0, 1]")
 
     def nu_resolved(self):
         return self.mu if self.nu is None else self.nu
@@ -381,9 +377,6 @@ class _Runtime:
         self.trace = trace
         self.r = hier.r
         self.i_max = cfg.resolved_i_max(hier.r)
-        # validated floor vectors, floors[l - 1] for level l
-        self.floors = [as_floor_vector(cfg.varsigma, hier.dim(l)) for l in range(1, hier.r + 1)]
-        self.varsigma_min = min(float(f.min()) for f in self.floors)
         self.B = HessianModel.zero(cfg.kappa_B)
         self.best_gnorm = math.inf
         self.best_x = None
@@ -491,7 +484,7 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, g0=None,
                 # which is the regime the convergence proofs rely on.
                 # nonnegative operands: .dot is @ bit for bit (see CostLedger)
                 eff = min(1.0, float(abs_g.dot(tr.delta)) / decrease)
-                bound = (-(tau * rt.varsigma_min / (2.0 * cfg.kappa_B)) * eff * decrease
+                bound = (-(tau * cfg.varsigma / (2.0 * cfg.kappa_B)) * eff * decrease
                          + 0.5 * cfg.kappa_B * tr.delta_norm ** 2)
                 # g.dot(s) is g @ s up to the sign of a zero, which the
                 # comparison does not see
@@ -521,12 +514,11 @@ def _try_recursive(rt, level, op_down, x, g, w, w_min, tr, decrease):
     cfg = rt.cfg
     Rg = op_down.restrict(g)
     delta_norm = tr.delta_norm
-    floors_low = rt.floors[level - 2]
     if cfg.weight_kind == ADAGRAD_LIKE:
-        w_low = init_lower_adagrad(floors_low, op_down.norm, Rg, cfg.alpha,
+        w_low = init_lower_adagrad(cfg.varsigma, op_down.norm, Rg, cfg.alpha,
                                    delta_norm, vector_norm(w))
     else:
-        w_low = init_lower_divergent(floors_low, op_down.norm, Rg, cfg.alpha,
+        w_low = init_lower_divergent(cfg.varsigma, op_down.norm, Rg, cfg.alpha,
                                      delta_norm, w_min)
     if not should_recurse(Rg, w_low, g, w, cfg.kappa_R, decrease=decrease):
         return None
@@ -538,7 +530,7 @@ def _try_recursive(rt, level, op_down, x, g, w, w_min, tr, decrease):
     rt.ledger.add(level - 1, lower.eval_fraction)  # anchor evaluation inside the build
     eps_low = cfg.lower_eps_factor * vector_norm(Rg)
     g0 = model.anchor_model_grad
-    state = seed_lower_state(cfg.weight_kind, cfg.mu, cfg.nu_resolved(), floors_low,
+    state = seed_lower_state(cfg.weight_kind, cfg.mu, cfg.nu_resolved(), cfg.varsigma,
                              w_low, g0)
     threshold = cfg.kappa_R * decrease if cfg.strict_descent_monitoring else None
     # the lower level's guard has already prolonged its movement x_low - x_low0
@@ -574,7 +566,7 @@ def solve(problem, config=None, x0=None):
     ledger = CostLedger(hier.r)
     trace = Trace(hier.r)
     rt = _Runtime(hier, cfg, ledger, trace)
-    state = WeightState(cfg.weight_kind, cfg.mu, cfg.nu_resolved(), rt.floors[-1],
+    state = WeightState(cfg.weight_kind, cfg.mu, cfg.nu_resolved(), cfg.varsigma,
                         hier.dim(hier.r))
     x_final, completed, _ = _run_level(rt, hier.r, hier.level(hier.r), x0, cfg.eps_top,
                                        math.inf, state)

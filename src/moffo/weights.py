@@ -121,8 +121,9 @@ def init_lower_divergent(floors, P_norm, Rg, alpha, Delta_norm, min_upper_weight
     Componentwise max of the floors, the budget term making the first lower
     radius fit (in the Euclidean norm, hence the sqrt(n) factor), and the
     smallest upper weight, which keeps the lower minimum weight no smaller
-    than the upper one.  floors is a floor vector of Rg's size, as
-    returned by as_floor_vector.
+    than the upper one.  floors is one floor for every coordinate, as the
+    solver passes it, or a floor vector of Rg's size, as returned by
+    as_floor_vector.
     """
     return np.maximum(_budget_feasible(floors, P_norm, Rg, alpha, Delta_norm),
                       float(min_upper_weight))

@@ -13,7 +13,12 @@ import pytest
 import moffo
 from moffo import problems
 from moffo.cli import (
+    _BASELINE_FIELDS,
+    _CONFIG_FIELDS,
+    _NOISE_KEYS,
+    _RUNS_FIELDS,
     _SOLVER_KEYS,
+    _TYPES,
     EXIT_CONFIG,
     EXIT_OK,
     adagrad_oracle_baseline,
@@ -125,6 +130,13 @@ _MALFORMED = [
      "problem.gaussian: seed must be an integer >= 0"),
     ({"problem": {"minibatch": {"fraction": 0.5}}, "runs": {"seeds": [-1]}},
      "runs.seeds: run seed -1"),
+    ({"runs": {"extra": 1}}, "unknown field(s): runs.extra"),
+    ({"baselines": [{"kind": "sgd", "lr": 0.1, "extra": 1}]},
+     "unknown field(s): baselines[0].extra"),
+    ({"problem": {"minibatch": {"fraction": 0.5, "extra": 1}}},
+     "unknown field(s): problem.minibatch.extra"),
+    ({"baselines": {}}, "baselines must be a list"),
+    ({"solver": {"varsigma": [0.5, 0.5]}}, "solver.varsigma must be a finite number"),
 ]
 
 
@@ -238,7 +250,28 @@ def test_check_bounds_divergent_diagnostic(tmp_path):
 def test_check_bounds_requires_constants(tmp_path, capsys):
     cfg = {"problem": {"name": "chain1d", "n_fine": 15, "levels": 2},
            "runs": {"out_dir": "."}}
-    assert main(["check-bounds", _write(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    out = tmp_path / "bounds"
+    assert main(["check-bounds", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: problem.name: bound checks need")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check-bounds"])
+@pytest.mark.parametrize("out_dir,flag,field", [("", False, "runs.out_dir"),
+                                                ("file", False, "runs.out_dir"),
+                                                (".", True, "--out")],
+                         ids=["empty-out_dir", "file-out_dir", "file-out-flag"])
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, command, out_dir,
+                                                      flag, field):
+    existing_file = tmp_path / "file"
+    existing_file.write_text("")
+    if out_dir == "file":
+        out_dir = str(existing_file)
+    cfg = {"problem": {"name": "quadratic2d"}, "solver": {"i_max_top": 5},
+           "runs": {"out_dir": out_dir}}
+    argv = [command, _write(tmp_path, cfg)] + (["--out", str(existing_file)] if flag else [])
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: %s: cannot make" % field)
 
 
 def test_gradcheck_all_problems():
@@ -281,6 +314,15 @@ def test_one_config_key_per_solver_field():
     # writes them, so the config has no key for it
     fields = [f.name for f in dataclasses.fields(SolverConfig) if f.name != "record_iterates"]
     assert sorted(field for field, _ in _SOLVER_KEYS.values()) == sorted(fields)
+    # every default is a value its config key accepts
+    defaults = SolverConfig()
+    for key, (field, kind) in _SOLVER_KEYS.items():
+        assert _TYPES[kind][1](getattr(defaults, field)), key
+    # every JSON type is one that some config object uses
+    tables = [_CONFIG_FIELDS, _BASELINE_FIELDS, _RUNS_FIELDS, *_NOISE_KEYS.values()]
+    used = {kind for _, kind in _SOLVER_KEYS.values()}
+    used |= {kind for table in tables for kind, _ in table.values()}
+    assert used == set(_TYPES)
 
 
 def test_diagnostic_trace_mode_fills_f(tmp_path):

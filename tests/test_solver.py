@@ -209,8 +209,9 @@ def test_config_validation_errors():
     problem = quadratic_diag()
     for bad in (dict(kappa_R=1.5), dict(alpha=0.5), dict(tau=0.0), dict(mu=0.0),
                 dict(eps_top=0.0), dict(pre_smooth=0), dict(lower_eps_factor=0.0),
-                dict(i_max=[0]), dict(step_scale=0.0)):
-        with pytest.raises(ValueError):
+                dict(i_max=[0]), dict(step_scale=0.0), dict(varsigma=[0.5, 0.5]),
+                dict(varsigma=np.array([0.5, 0.5]))):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             solve(problem, SolverConfig(**bad))
 
 
