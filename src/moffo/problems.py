@@ -193,22 +193,22 @@ def _nested_grids(n_fine, levels, forcing, times_h=False):
 
 
 def laplacian_quadratic_1d(n_fine=255, levels=3, dataset_size=40, noise_scale=0.1,
-                           forcing=None, sample_seed=2025):
+                           sample_seed=2025):
     """Dirichlet 1D Laplacian quadratics on nested interior grids.
 
     f_l(x) = x^T A_l x / 2 - b_l^T x with the [-1, 2, -1]/h^2 stencil; the
-    forcing is sampled on the finest grid and restricted downwards.  The
-    problem is sum-structured through zero-mean per-sample gradient offsets,
-    so the minibatch wrapper applies: dataset_size standard normal draws
-    from sample_seed, centred by column, scaled by noise_scale * max|b| and
-    restricted down the levels one sample at a time.
+    forcing sin(2 pi t) + 0.4 sin(9 pi t) is sampled on the finest grid and
+    restricted downwards.  The problem is sum-structured through zero-mean
+    per-sample gradient offsets, so the minibatch wrapper applies:
+    dataset_size standard normal draws from sample_seed, centred by column,
+    scaled by noise_scale * max|b| and restricted down the levels one sample
+    at a time.
     """
     _check_int("dataset_size", dataset_size, 1)
     _check_real("noise_scale", noise_scale)
     _check_int("sample_seed", sample_seed, 0)
-    if forcing is None:
-        forcing = lambda t: np.sin(2.0 * np.pi * t) + 0.4 * np.sin(9.0 * np.pi * t)
-    dims, ops, h_top, b = _nested_grids(n_fine, levels, forcing)
+    dims, ops, h_top, b = _nested_grids(
+        n_fine, levels, lambda t: np.sin(2.0 * np.pi * t) + 0.4 * np.sin(9.0 * np.pi * t))
 
     @functools.cache
     def offsets():

@@ -48,10 +48,14 @@ __all__ = [
 _ASSERT_RTOL = 1e-9
 
 
+def _is_real(v):
+    """A real number (NaN and infinity included), but not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _is_integral(v):
     """An integral real number (2 or 2.0), but not a bool, NaN or infinity."""
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and float(v).is_integer())
+    return _is_real(v) and float(v).is_integer()
 
 
 class NonFiniteGradientError(ValueError):
@@ -86,13 +90,17 @@ class SolverConfig:
     step_scale: float = 1.0
     strict_descent_monitoring: bool = False
     diag_values: bool = False
-    record_iterates: bool = False
 
     def validate(self, r):
-        # Range tests are written so that NaN, and infinity where a finite
-        # value is needed, fail them.
         if self.weight_kind not in (ADAGRAD_LIKE, MAXGI):
             raise ValueError("unknown weight kind %r" % self.weight_kind)
+        for name in ("mu", "nu", "varsigma", "kappa_R", "alpha", "tau", "kappa_B",
+                     "eps_top", "lower_eps_factor", "step_scale"):
+            v = getattr(self, name)
+            if not (_is_real(v) or (name == "nu" and v is None)):
+                raise ValueError("%s must be a real number, got %r" % (name, v))
+        # Range tests are written so that NaN, and infinity where a finite
+        # value is needed, fail them.
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
         nu = self.nu_resolved()
@@ -120,8 +128,8 @@ class SolverConfig:
         budgets = self.i_max if self.i_max is not None else self.resolved_i_max(r)
         if len(budgets) != r or not all(_is_integral(b) and b >= 1 for b in budgets):
             raise ValueError("i_max must be %d positive integers" % r)
-        if not (isinstance(self.varsigma, numbers.Real) and 0.0 < self.varsigma <= 1.0):
-            raise ValueError("varsigma must be a number in (0, 1]")
+        if not 0.0 < self.varsigma <= 1.0:
+            raise ValueError("varsigma must lie in (0, 1]")
 
     def nu_resolved(self):
         return self.mu if self.nu is None else self.nu
@@ -267,7 +275,7 @@ class RecordView(Sequence):
 
 
 class Trace:
-    """Chronological records over all levels plus optional top iterates.
+    """Chronological records over all levels.
 
     Records are stored as packed fixed-width rows of one bytearray, 88 bytes
     each against about 330 for a record object and its floats, and are read
@@ -276,7 +284,6 @@ class Trace:
 
     def __init__(self, r):
         self.r = int(r)
-        self.top_iterates = []
         self._rows = bytearray()
 
     def add(self, level, index, kind, grad_norm, step_norm, delta_hat_norm, delta_norm,
@@ -419,7 +426,6 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, g0=None,
     pre_smooth = cfg.pre_smooth
     period = pre_smooth + 1 + cfg.post_smooth
     value = objective.value if cfg.diag_values else None
-    record_iterates = cfg.record_iterates
     step_scale, tau = cfg.step_scale, cfg.tau
     x0 = np.asarray(x0, dtype=float)
     x = x0.copy()
@@ -442,13 +448,10 @@ def _run_level(rt, level, objective, x0, eps, delta_cap, wstate, g0=None,
         if not math.isfinite(gnorm):
             raise NonFiniteGradientError(level, i, gnorm)
         f_diag = None if value is None else value(x)
-        if is_top:
-            if record_iterates:
-                rt.trace.top_iterates.append(x.copy())
-            if gnorm < rt.best_gnorm:
-                rt.best_gnorm = gnorm
-                # iterates are rebound by x = x + s, never written in place
-                rt.best_x = x
+        if is_top and gnorm < rt.best_gnorm:
+            rt.best_gnorm = gnorm
+            # iterates are rebound by x = x + s, never written in place
+            rt.best_x = x
         if gnorm <= eps or i == i_budget:
             rt.trace.add(level, i, "taylor", gnorm, 0.0, 0.0, 0.0, None, None,
                          rt.ledger.total(), f_diag)

@@ -4,7 +4,7 @@ Two families are provided.  The AdaGrad-like family raises a shifted sum of
 squared gradient components to a power mu in (0,1); AdaGrad itself is the
 mu = 1/2 member.  The divergent (MAXGI) family multiplies the running
 maximum of |g_j| by (i+1)^nu.  Both are componentwise nondecreasing and
-bounded below by floors in (0,1].
+bounded below by one floor varsigma in (0,1].
 
 Lower-level starting weights must additionally be large against the
 restricted gradient (so the first lower step fits in its budget) and large
@@ -15,6 +15,7 @@ such vectors, and seed_lower_state extends them into a full schedule.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -33,23 +34,12 @@ ADAGRAD_LIKE = "adagrad_like"
 MAXGI = "maxgi"
 
 
-def as_floor_vector(varsigma, dim):
-    """Broadcast a scalar or vector of floors to shape (dim,) and validate."""
-    v = np.asarray(varsigma, dtype=float)
-    if v.ndim == 0:
-        v = np.full(dim, float(v))
-    if v.shape != (dim,):
-        raise ValueError("floor vector has shape %s, expected (%d,)" % (v.shape, dim))
-    if not (v.min() > 0.0 and v.max() <= 1.0):
-        raise ValueError("floors must lie in (0, 1]")
-    return v
-
-
 class WeightState:
     """Mutable per-level weight schedule state.
 
     kind: ADAGRAD_LIKE emits max(floor, (varsigma + c + sum g^2)^mu);
     MAXGI emits max(floor, max(varsigma, running max |g|) * (i+1)^nu).
+    varsigma is one real number in (0, 1], the floor of every coordinate.
     A state is owned by exactly one level visit at a time.  w0, when given,
     holds prescribed entry weights: the first update emits them verbatim and
     every later weight is floored by them componentwise.
@@ -68,15 +58,18 @@ class WeightState:
         self.kind = kind
         self.mu = float(mu)
         self.nu = None if kind == ADAGRAD_LIKE else float(nu)
+        if (isinstance(varsigma, bool) or not isinstance(varsigma, numbers.Real)
+                or not 0.0 < varsigma <= 1.0):
+            raise ValueError("varsigma must be a real number in (0, 1], got %r" % (varsigma,))
         self.dim = int(dim)
-        self.varsigma = as_floor_vector(varsigma, dim)
+        self.varsigma = float(varsigma)
         self.i = 0
         # accumulator: sum of squares (adagrad_like) or running max (maxgi)
         self.acc = np.zeros(dim)
-        # varsigma + c + acc evaluates left to right, so the constant part
-        # is summed once; with no offset c it is varsigma, whose entries are
-        # positive, so adding zeros would change no bit
-        self._shift = self.varsigma
+        # varsigma + c + acc evaluates left to right, so c is summed in once;
+        # without c the shift is varsigma (positive, so zero offsets change no
+        # bit), as a 0-d array, which numpy adds faster than a Python float
+        self._shift = np.array(self.varsigma)
         self.w0 = None if w0 is None else np.array(w0, dtype=float)
 
     def _set_offset(self, base_offset):
@@ -121,9 +114,8 @@ def init_lower_divergent(floors, P_norm, Rg, alpha, Delta_norm, min_upper_weight
     Componentwise max of the floors, the budget term making the first lower
     radius fit (in the Euclidean norm, hence the sqrt(n) factor), and the
     smallest upper weight, which keeps the lower minimum weight no smaller
-    than the upper one.  floors is one floor for every coordinate, as the
-    solver passes it, or a floor vector of Rg's size, as returned by
-    as_floor_vector.
+    than the upper one.  floors is the solver's varsigma, one number for
+    every coordinate; a floor vector of Rg's size broadcasts the same way.
     """
     return np.maximum(_budget_feasible(floors, P_norm, Rg, alpha, Delta_norm),
                       float(min_upper_weight))
@@ -148,15 +140,15 @@ def seed_lower_state(kind, mu, nu, varsigma, w0, g0):
 
     The first update emits w0 exactly; later weights follow the family's
     rule, floored componentwise by w0 so they never decrease below the entry
-    values.  For the AdaGrad-like family, base offsets are chosen as the
-    largest nonnegative values for which the accumulator formula at entry
-    does not exceed w0.
+    values.  varsigma is one real number in (0, 1], as for WeightState.
+    For the AdaGrad-like family, base offsets are chosen as the largest
+    nonnegative values for which the accumulator formula at entry does not
+    exceed w0.
     """
     w0 = np.asarray(w0, dtype=float)
     g0 = np.asarray(g0, dtype=float)
     if w0.shape != g0.shape:
         raise ValueError("w0 and g0 must have the same shape")
-    # the state validates the floors once, and the offset reads its vector
     state = WeightState(kind, mu, nu, varsigma, w0.shape[0], w0=w0)
     if kind == ADAGRAD_LIKE:
         state._set_offset(np.maximum(0.0, w0 ** (1.0 / mu) - state.varsigma - g0 * g0))

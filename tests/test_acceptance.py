@@ -54,12 +54,13 @@ def _cost_when(res, target):
     return None
 
 
-def test_criterion_01_adagrad_equivalence():
+def test_criterion_01_adagrad_equivalence(record_top_iterates):
     t0 = time.perf_counter()
     problem = quadratic_diag()
     cfg = SolverConfig(eps_top=1e-300, i_max_top=1000, mu=0.5, varsigma=0.01,
-                       tau=1.0, step_scale=1.0, record_iterates=True)
-    res = solve(problem, cfg)
+                       tau=1.0, step_scale=1.0)
+    iterates = record_top_iterates(problem)
+    solve(problem, cfg)
     # independently written momentum-less AdaGrad loop
     d = np.array([1.0, 2.0])
     x = np.array([3.0, -4.0])
@@ -71,7 +72,7 @@ def test_criterion_01_adagrad_equivalence():
         x = x - g / np.sqrt(0.01 + acc)
         refs.append(x.copy())
     worst = 0.0
-    for mine, ref in zip(res.trace.top_iterates, refs):
+    for mine, ref in zip(iterates, refs):
         worst = max(worst, float(np.max(np.abs(mine - ref) / np.maximum(1e-300, np.abs(ref)))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -237,30 +238,26 @@ def test_criterion_06_multilevel_benefit():
         "multilevel cost %.1f exceeds single-level cost %.1f / 1.2" % (c3, c1))
 
 
-def test_criterion_07_noise_robustness():
+def test_criterion_07_noise_robustness(record_top_iterates):
     base = laplacian_quadratic_1d(n_fine=255, levels=3, dataset_size=40,
                                   noise_scale=0.01)
     g0 = float(np.linalg.norm(base.exact_grad(3, base.x0)))
     target = 1e-2 * g0
     scale = 0.003
     costs1, costs3 = [], []
+    cfg = SolverConfig(eps_top=1e-300, i_max_top=30_000, mu=0.5, step_scale=scale)
+    every = 25  # the exact gradient is read at every 25th top iterate
     for seed in range(10):
-        noisy1 = with_minibatch(base, 0.25, seed=seed)
-        res1 = solve(noisy1.single_level(),
-                     SolverConfig(eps_top=1e-300, i_max_top=30_000, mu=0.5,
-                                  step_scale=scale, record_iterates=True))
-        noisy3 = with_minibatch(base, 0.25, seed=seed)
-        res3 = solve(noisy3,
-                     SolverConfig(eps_top=1e-300, i_max_top=30_000, mu=0.5,
-                                  step_scale=scale, record_iterates=True))
-        for res, out in ((res1, costs1), (res3, costs3)):
+        for out, problem in ((costs1, with_minibatch(base, 0.25, seed=seed).single_level()),
+                             (costs3, with_minibatch(base, 0.25, seed=seed))):
+            iterates = record_top_iterates(problem, every=every)
+            res = solve(problem, cfg)
             costs = [r.cost_cum for r in res.trace.records if r.level == res.trace.r]
             found = math.inf
-            X = np.array(res.trace.top_iterates)
-            exact = np.array([np.linalg.norm(base.exact_grad(3, x)) for x in X[::25]])
+            exact = np.array([np.linalg.norm(base.exact_grad(3, x)) for x in iterates])
             hits = np.nonzero(exact <= target)[0]
             if hits.size:
-                found = costs[min(int(hits[0]) * 25, len(costs) - 1)]
+                found = costs[min(int(hits[0]) * every, len(costs) - 1)]
             out.append(found)
     med1, med3 = float(np.median(costs1)), float(np.median(costs3))
     ok = math.isfinite(med1) and math.isfinite(med3) and med3 <= med1

@@ -247,6 +247,17 @@ def test_check_bounds_divergent_diagnostic(tmp_path):
     assert report["checks"]["rate_divs"]["status"] in ("pass", "inconclusive")
 
 
+@pytest.mark.parametrize("noise", [{}, {"minibatch": {"fraction": 0.25}}])
+def test_check_bounds_reports_noise_not_applied(tmp_path, capsys, noise):
+    cfg = {"problem": {"name": "laplacian1d", "n_fine": 15, "levels": 2, **noise},
+           "runs": {"out_dir": "."}}
+    assert main(["check-bounds", _write(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "bound_report.json").read_text())
+    assert report["noise_not_applied"] == noise
+    line = "noise_not_applied: %s\n" % ("minibatch" if noise else "none")
+    assert line in capsys.readouterr().out
+
+
 def test_check_bounds_requires_constants(tmp_path, capsys):
     cfg = {"problem": {"name": "chain1d", "n_fine": 15, "levels": 2},
            "runs": {"out_dir": "."}}
@@ -310,9 +321,7 @@ def test_baseline_loops_behave():
 
 
 def test_one_config_key_per_solver_field():
-    # record_iterates keeps top iterates in memory for API callers; no run
-    # writes them, so the config has no key for it
-    fields = [f.name for f in dataclasses.fields(SolverConfig) if f.name != "record_iterates"]
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
     assert sorted(field for field, _ in _SOLVER_KEYS.values()) == sorted(fields)
     # every default is a value its config key accepts
     defaults = SolverConfig()

@@ -116,7 +116,7 @@ def _schedule(draw):
     nu = draw(st.floats(0.001, 1.0)) * mu
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, steps = draw(st.integers(1, 16)), draw(st.integers(1, 15))
-    floors = rng.uniform(1e-4, 1.0, n)
+    floors = np.full(n, rng.uniform(1e-4, 1.0))  # one floor, every coordinate's
     grads = 10.0 ** draw(st.floats(-4, 3)) * rng.standard_normal((steps, n))
     return kind, mu, nu, floors, grads
 
@@ -125,7 +125,7 @@ def _schedule(draw):
 @given(_schedule())
 def test_weights_nondecreasing_and_floored(case):
     kind, mu, nu, floors, grads = case
-    state = WeightState(kind, mu, nu, floors, floors.size)
+    state = WeightState(kind, mu, nu, floors[0], floors.size)
     prev = floors
     for g in grads:
         w = state.update(g, g * g)
@@ -138,7 +138,7 @@ def test_weights_nondecreasing_and_floored(case):
 def test_weight_update_is_textbook_schedule(case):
     # the schedule with the accumulator written out, squares formed in place
     kind, mu, nu, floors, grads = case
-    state = WeightState(kind, mu, nu, floors, floors.size)
+    state = WeightState(kind, mu, nu, floors[0], floors.size)
     acc = np.zeros(floors.size)
     for i, g in enumerate(grads):
         if kind == ADAGRAD_LIKE:
@@ -155,7 +155,7 @@ def test_weight_update_is_textbook_schedule(case):
 def test_seeded_lower_state_emits_w0_then_stays_above(case, lift):
     kind, mu, nu, floors, grads = case
     w0 = lift * floors
-    state = seed_lower_state(kind, mu, nu, floors, w0, grads[0])
+    state = seed_lower_state(kind, mu, nu, floors[0], w0, grads[0])
     assert _same_bits(state.update(grads[0], grads[0] * grads[0]), w0)
     for g in grads[1:]:
         assert (state.update(g, g * g) >= w0).all()

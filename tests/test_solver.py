@@ -29,11 +29,11 @@ def test_immediate_termination_cost_one():
     assert res.status == "converged"
 
 
-def test_adagrad_equivalence_r1():
+def test_adagrad_equivalence_r1(record_top_iterates):
     problem = quadratic_diag()
-    cfg = SolverConfig(eps_top=1e-300, i_max_top=1000, mu=0.5, varsigma=0.01,
-                       record_iterates=True)
-    res = solve(problem, cfg)
+    cfg = SolverConfig(eps_top=1e-300, i_max_top=1000, mu=0.5, varsigma=0.01)
+    recorded = record_top_iterates(problem)
+    solve(problem, cfg)
     # independent momentum-less AdaGrad loop
     d = np.array([1.0, 2.0])
     x = np.array([3.0, -4.0])
@@ -44,8 +44,8 @@ def test_adagrad_equivalence_r1():
         acc += g * g
         x = x - g / np.sqrt(0.01 + acc)
         iterates.append(x.copy())
-    assert len(res.trace.top_iterates) == 1001
-    for mine, ref in zip(res.trace.top_iterates, iterates):
+    assert len(recorded) == 1001
+    for mine, ref in zip(recorded, iterates):
         assert np.all(np.abs(mine - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -166,15 +166,18 @@ def test_lower_eps_rule_and_budget_guard():
     assert max(r.index for r in lower) <= 50
 
 
-def test_offo_contract_value_oracle_removal():
+def test_offo_contract_value_oracle_removal(record_top_iterates):
     problem = laplacian_quadratic_1d(n_fine=31, levels=3)
-    cfg = SolverConfig(eps_top=1e-5, i_max_top=200, mu=0.5, record_iterates=True)
+    stripped = problem.strip_values()  # before wrapping: it copies each grad
+    cfg = SolverConfig(eps_top=1e-5, i_max_top=200, mu=0.5)
+    xs_a, xs_b = record_top_iterates(problem), record_top_iterates(stripped)
     res_a = solve(problem, cfg)
-    res_b = solve(problem.strip_values(), cfg)
+    res_b = solve(stripped, cfg)
     assert len(res_a.trace) == len(res_b.trace)
     for ra, rb in zip(res_a.trace.records, res_b.trace.records):
         assert ra.grad_norm == rb.grad_norm and ra.step_norm == rb.step_norm
-    for xa, xb in zip(res_a.trace.top_iterates, res_b.trace.top_iterates):
+    assert len(xs_a) == len(xs_b) > 1
+    for xa, xb in zip(xs_a, xs_b):
         assert np.array_equal(xa, xb)
 
 
@@ -210,7 +213,8 @@ def test_config_validation_errors():
     for bad in (dict(kappa_R=1.5), dict(alpha=0.5), dict(tau=0.0), dict(mu=0.0),
                 dict(eps_top=0.0), dict(pre_smooth=0), dict(lower_eps_factor=0.0),
                 dict(i_max=[0]), dict(step_scale=0.0), dict(varsigma=[0.5, 0.5]),
-                dict(varsigma=np.array([0.5, 0.5]))):
+                dict(varsigma=np.array([0.5, 0.5])), dict(mu=[0.5]), dict(alpha="5"),
+                dict(kappa_R=np.array([0.5, 0.5])), dict(tau=True)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             solve(problem, SolverConfig(**bad))
 

@@ -13,7 +13,7 @@ from moffo.step import (
     linear_step,
     taylor_step,
 )
-from moffo.weights import ADAGRAD_LIKE, as_floor_vector, seed_lower_state
+from moffo.weights import ADAGRAD_LIKE, WeightState, seed_lower_state
 
 
 def test_radius_top_level_example():
@@ -178,6 +178,6 @@ def test_nan_rejected_at_component_boundaries():
     with pytest.raises(ValueError):
         HessianModel.zero(kappa_B=nan)
     with pytest.raises(ValueError):
-        as_floor_vector(np.array([0.5, nan]), 2)
+        WeightState(ADAGRAD_LIKE, 0.5, None, nan, 2)
     with pytest.raises(ValueError):
         seed_lower_state(ADAGRAD_LIKE, 0.5, None, 0.1, np.ones(2), g0=[0.0, nan])

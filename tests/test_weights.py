@@ -55,7 +55,7 @@ def test_weights_monotone_and_floored_fuzz():
             dim = rng.integers(1, 6)
             mu = rng.uniform(0.05, 0.95)
             nu = rng.uniform(0.01, mu)
-            floors = rng.uniform(0.01, 1.0, dim)
+            floors = rng.uniform(0.01, 1.0)
             st = WeightState(kind, mu, nu, floors, dim)
             prev = np.zeros(dim)
             for _ in range(20):
@@ -165,7 +165,7 @@ def test_seed_lower_state_floor_monotone():
 
 def test_seed_lower_state_floor_case_constant():
     vs = np.full(2, 0.04)
-    st = seed_lower_state(ADAGRAD_LIKE, 0.5, None, vs, vs.copy(), np.zeros(2))
+    st = seed_lower_state(ADAGRAD_LIKE, 0.5, None, 0.04, vs.copy(), np.zeros(2))
     assert np.array_equal(_update(st, np.zeros(2)), vs)
     for _ in range(4):
         w = _update(st, np.zeros(2))
@@ -185,5 +185,6 @@ def test_state_validation():
         WeightState(ADAGRAD_LIKE, 1.5, None, 0.1, 2)
     with pytest.raises(ValueError):
         WeightState(MAXGI, 0.5, 0.9, 0.1, 2)
-    with pytest.raises(ValueError):
-        WeightState(ADAGRAD_LIKE, 0.5, None, 1.5, 2)
+    for varsigma in (1.5, float("nan"), True, np.full(2, 0.5)):
+        with pytest.raises(ValueError, match="varsigma"):
+            WeightState(ADAGRAD_LIKE, 0.5, None, varsigma, 2)
